@@ -14,6 +14,7 @@
 #include "common.hpp"
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
+#include "core/parallel.hpp"
 #include "core/schedule.hpp"
 #include "core/tuner.hpp"
 #include "linarr/problem.hpp"
@@ -23,25 +24,33 @@ namespace {
 
 using namespace mcopt;
 
+/// Total reduction over the instances, one job per instance on `threads`
+/// workers, summed in instance order (thread-count invariant).  These runs
+/// sit outside run_method_row, so the observability flags do not see them.
 double run_schedule(const std::vector<netlist::Netlist>& instances,
-                    const std::vector<double>& schedule,
-                    std::uint64_t budget) {
+                    const std::vector<double>& schedule, std::uint64_t budget,
+                    unsigned threads) {
   const auto g = core::make_annealing_g(schedule);
+  std::vector<double> reductions(instances.size(), 0.0);
+  core::drain_indices(
+      instances.size(), threads, [&](std::size_t i, std::uint64_t) {
+        const auto& nl = instances[i];
+        linarr::LinArrProblem problem{nl,
+                                      bench::random_start(i, nl.num_cells())};
+        util::Rng rng{util::derive_seed(31, i)};
+        core::Figure1Options options;
+        options.budget = budget;
+        reductions[i] = core::run_figure1(problem, *g, options, rng).reduction();
+      });
   double total = 0.0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const auto& nl = instances[i];
-    linarr::LinArrProblem problem{nl, bench::random_start(i, nl.num_cells())};
-    util::Rng rng{util::derive_seed(31, i)};
-    core::Figure1Options options;
-    options.budget = budget;
-    total += core::run_figure1(problem, *g, options, rng).reduction();
-  }
+  for (const double r : reductions) total += r;
   return total;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Ablation C — annealing schedule shape and length",
       "GOLA set; Figure 1; 12 s budget split into k equal slices");
@@ -51,7 +60,7 @@ int main() {
   // Reuse the tuner to pick the hot-end temperature for annealing.
   const auto methods =
       bench::tune_methods({core::GClass::kSixTempAnnealing}, instances,
-                          /*goto_start=*/false, 80.0, 2.0);
+                          /*goto_start=*/false, 80.0, 2.0, threads);
   const double y1 = methods.front().scale;
   const std::uint64_t budget = bench::scaled(bench::kTwelveSec);
   std::printf("tuned starting temperature Y1 = %.3f\n\n", y1);
@@ -65,7 +74,8 @@ int main() {
     table.begin_row();
     table.cell(name);
     table.cell(static_cast<long long>(ys.size()));
-    table.cell(static_cast<long long>(run_schedule(instances, ys, budget)));
+    table.cell(
+        static_cast<long long>(run_schedule(instances, ys, budget, threads)));
   };
 
   row("single temperature (Metropolis)", {y1});

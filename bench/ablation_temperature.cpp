@@ -13,8 +13,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Ablation A — sensitivity to the temperature scale (conclusion 1)",
       "GOLA set; Figure 1; 12 s budget; tuned scale x {0.1, 0.5, 1, 2, 10}");
@@ -28,12 +29,14 @@ int main() {
       core::GClass::kSixCubicDiff};
   const auto methods = bench::tune_methods(
       std::vector<core::GClass>(classes.begin(), classes.end()), instances,
-      /*goto_start=*/false, 80.0, 2.0);
+      /*goto_start=*/false, 80.0, 2.0, threads);
 
   const std::vector<double> multipliers{0.1, 0.5, 1.0, 2.0, 10.0};
   bench::TableRunConfig config;
   config.budgets = {bench::scaled(bench::kTwelveSec)};
   config.move_seed = 23;
+  config.num_threads = threads;
+  config.recorder = bench::driver_recorder();
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);
@@ -62,6 +65,7 @@ int main() {
   }
   table.print();
   bench::maybe_write_csv("ablation_temperature", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape check: g = 1 and two-level rows are flat (scale unused);\n"

@@ -17,6 +17,7 @@
 
 #include "core/figure1.hpp"
 #include "core/figure2.hpp"
+#include "core/parallel.hpp"
 #include "linarr/goto_heuristic.hpp"
 #include "netlist/generator.hpp"
 #include "obs/flight.hpp"
@@ -66,10 +67,14 @@ std::unique_ptr<core::GFunction> make_method_g(const Method& method,
   return core::make_g(method.cls, params);
 }
 
+unsigned hardware_threads() {
+  return std::max(1U, std::thread::hardware_concurrency());
+}
+
 std::vector<Method> tune_methods(
     const std::vector<core::GClass>& classes,
     const std::vector<netlist::Netlist>& instances, bool goto_start,
-    double typical_cost, double typical_delta) {
+    double typical_cost, double typical_delta, unsigned num_threads) {
   const std::size_t train_count =
       std::min<std::size_t>(kTuneInstances, instances.size());
 
@@ -94,6 +99,7 @@ std::vector<Method> tune_methods(
       options.seed = kSeed + 2;
       options.typical_cost = typical_cost;
       options.typical_delta = typical_delta;
+      options.num_threads = num_threads;
       method.scale = core::tune_scale(cls, factory, options).best_scale;
     }
     methods.push_back(std::move(method));
@@ -215,28 +221,13 @@ std::vector<double> run_method_row(
     if (done < num_jobs) g_heartbeat.tick(done, num_jobs, std::nan(""));
   };
 
-  const unsigned workers = config.num_threads == 0 ? 1 : config.num_threads;
-  if (workers <= 1 || num_jobs <= 1) {
-    for (std::size_t job = 0; job < num_jobs; ++job) run_job(job, 0);
-  } else {
-    // Work-stealing job counter; job order is irrelevant because every
-    // output lands in a per-job slot and is reduced in index order.
-    std::atomic<std::size_t> next{0};  // mcopt-lint: allow(raw-atomic)
-    auto drain = [&](std::uint64_t worker) {
-      for (std::size_t job = next.fetch_add(1); job < num_jobs;
-           job = next.fetch_add(1)) {
-        run_job(job, worker);
-      }
-    };
-    std::vector<std::thread> pool;
-    const std::size_t spawn =
-        std::min<std::size_t>(workers, num_jobs);
-    pool.reserve(spawn);
-    for (std::size_t t = 0; t < spawn; ++t) {
-      pool.emplace_back(drain, static_cast<std::uint64_t>(t) + 1);
-    }
-    for (auto& thread : pool) thread.join();
-  }
+  // Jobs are numbered budget-major and every driver lists its budgets in
+  // ascending order, so claiming them in reverse index order starts the
+  // longest runs first and keeps them off the row's tail.
+  core::drain_indices(num_jobs, std::max(1U, config.num_threads),
+                      [&](std::size_t claim, std::uint64_t worker) {
+                        run_job(num_jobs - 1 - claim, worker);
+                      });
 
   std::vector<double> totals(config.budgets.size(), 0.0);
   obs::TraceSink* sink = root.sink();

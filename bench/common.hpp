@@ -69,13 +69,20 @@ struct Method {
   double scale = 1.0;     ///< tuned Y scale (Y1; k=6 schedules decay x0.9)
 };
 
+/// std::thread::hardware_concurrency(), or 1 when it is unknown.
+unsigned hardware_threads();
+
 /// Runs the §4.2.1 tuning pass for each class on GOLA training data with
 /// the given start policy and returns the configured methods.  Scale-free
-/// classes pass through untuned.  Deterministic.
+/// classes pass through untuned.  Each class's candidate x instance grid
+/// runs on `num_threads` workers (core::tune_scale); the tuned scales are
+/// bit-identical for any value, so the thread count changes only speed.
+/// Table drivers pass their --threads value.  Must be >= 1.
 std::vector<Method> tune_methods(
     const std::vector<core::GClass>& classes,
     const std::vector<netlist::Netlist>& instances, bool goto_start,
-    double typical_cost, double typical_delta);
+    double typical_cost, double typical_delta,
+    unsigned num_threads = hardware_threads());
 
 /// Instantiates a method's g for a given instance (Cohoon-Sahni needs the
 /// instance's net count).
@@ -90,10 +97,11 @@ struct TableRunConfig {
   bool figure2 = false;
   linarr::MoveKind move_kind = linarr::MoveKind::kPairwiseInterchange;
   std::uint64_t move_seed = 7;  ///< stream id for the perturbation RNG
-  /// Worker threads for the per-(budget, instance) runs.  Every (budget,
-  /// instance) cell already owns a derived RNG stream and the results are
-  /// reduced in index order, so the row is bit-identical for any value —
-  /// the table drivers default to 1 and let --threads opt in.
+  /// Worker threads for the per-(budget, instance) runs, drained through
+  /// core::drain_indices longest budget first.  Every (budget, instance)
+  /// cell already owns a derived RNG stream and the results are reduced in
+  /// index order, so the row is bit-identical for any value — the table
+  /// drivers default to 1 and let --threads opt in (0 runs as 1).
   unsigned num_threads = 1;
   /// Observability root (normally bench::driver_recorder()).  Each
   /// (budget, instance) job becomes a restart-scoped shard whose events

@@ -16,8 +16,9 @@
 #include "core/gfunction.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Convergence curves — total reduction vs work budget (GOLA)",
       "30 instances; Figure 1; logarithmic budget checkpoints");
@@ -29,7 +30,7 @@ int main() {
       core::GClass::kCohoonSahni};
   const auto methods = bench::tune_methods(
       std::vector<core::GClass>(classes.begin(), classes.end()), instances,
-      /*goto_start=*/false, 80.0, 2.0);
+      /*goto_start=*/false, 80.0, 2.0, threads);
 
   std::vector<std::uint64_t> checkpoints;
   for (std::uint64_t b = 75; b <= 4'800; b *= 2) {
@@ -45,6 +46,8 @@ int main() {
   bench::TableRunConfig config;
   config.budgets = checkpoints;
   config.move_seed = 37;
+  config.num_threads = threads;
+  config.recorder = bench::driver_recorder();
 
   const long long goto_reduction = bench::goto_total_reduction(instances);
   table.begin_row();
@@ -61,6 +64,7 @@ int main() {
   }
   table.print();
   bench::maybe_write_csv("convergence_curves", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape checks: Goto's flat line dominates the small budgets and is\n"

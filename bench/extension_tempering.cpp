@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
       bench::tune_methods({core::GClass::kSixTempAnnealing,
                            core::GClass::kGOne, core::GClass::kCubicDiff,
                            core::GClass::kThresholdAccepting},
-                          instances, /*goto_start=*/false, 80.0, 2.0);
+                          instances, /*goto_start=*/false, 80.0, 2.0,
+                          threads);
   const double y1 = methods.front().scale;  // reuse the tuned hot end
 
   util::Table table;

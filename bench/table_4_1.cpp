@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const auto methods = bench::tune_methods(classes, instances,
                                            /*goto_start=*/false,
                                            /*typical_cost=*/80.0,
-                                           /*typical_delta=*/2.0);
+                                           /*typical_delta=*/2.0, threads);
   std::printf("tuning pass: %.1f s\n\n", tune_watch.seconds());
 
   bench::TableRunConfig config;

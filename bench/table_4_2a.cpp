@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   const auto methods =
       bench::tune_methods(core::table42_classes(), instances,
                           /*goto_start=*/true,
-                          /*typical_cost=*/65.0, /*typical_delta=*/1.5);
+                          /*typical_cost=*/65.0, /*typical_delta=*/1.5,
+                          threads);
 
   bench::TableRunConfig config;
   config.budgets = {bench::scaled(bench::kSixSec),

@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
   const auto methods =
       bench::tune_methods(core::table42_classes(), instances,
                           /*goto_start=*/false,
-                          /*typical_cost=*/80.0, /*typical_delta=*/2.0);
+                          /*typical_cost=*/80.0, /*typical_delta=*/2.0,
+                          threads);
 
   bench::TableRunConfig fig1;
   fig1.budgets = {bench::scaled(bench::kThreeMin)};

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   const auto methods = bench::tune_methods(core::table42_classes(), gola,
                                            /*goto_start=*/false,
                                            /*typical_cost=*/80.0,
-                                           /*typical_delta=*/2.0);
+                                           /*typical_delta=*/2.0, threads);
 
   bench::TableRunConfig config;
   config.budgets = {bench::scaled(bench::kSixSec),

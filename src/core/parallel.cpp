@@ -1,9 +1,12 @@
 #include "core/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -338,6 +341,55 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
   // last restart's final solution.
   problem.restore(last_final_state);
   return out;
+}
+
+void drain_indices(std::size_t num_jobs, unsigned num_threads,
+                   const IndexJob& job) {
+  if (num_threads == 0) {
+    throw std::invalid_argument("drain_indices: num_threads must be >= 1");
+  }
+  if (!job) throw std::invalid_argument("drain_indices: empty job");
+  if (num_threads == 1 || num_jobs <= 1) {
+    for (std::size_t index = 0; index < num_jobs; ++index) job(index, 0);
+    return;
+  }
+
+  // A worker's failure, written only by that worker and read after the
+  // join.
+  struct Failure {
+    std::size_t index = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+  };
+  const std::size_t spawn = std::min<std::size_t>(num_threads, num_jobs);
+  std::vector<Failure> failures(spawn);
+  // Lock-free claim counter and stop flag: they only schedule indices;
+  // every result lands in a caller-owned per-index slot.
+  std::atomic<std::size_t> next{0};  // mcopt-lint: allow(raw-atomic) -- claim counter
+  std::atomic<bool> stop{false};  // mcopt-lint: allow(raw-atomic) -- stop flag
+  auto drain = [&](std::uint64_t worker) {
+    for (std::size_t index = next.fetch_add(1);
+         index < num_jobs && !stop.load(); index = next.fetch_add(1)) {
+      try {
+        job(index, worker);
+      } catch (...) {
+        failures[worker - 1] = {index, std::current_exception()};
+        stop.store(true);
+        return;
+      }
+    }
+  };
+  {
+    // jthreads join on scope exit, also when a later spawn throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(spawn);
+    for (std::size_t t = 0; t < spawn; ++t) {
+      pool.emplace_back(drain, static_cast<std::uint64_t>(t) + 1);
+    }
+  }
+  const auto first = std::min_element(
+      failures.begin(), failures.end(),
+      [](const Failure& a, const Failure& b) { return a.index < b.index; });
+  if (first->error) std::rethrow_exception(first->error);
 }
 
 }  // namespace mcopt::core

@@ -34,7 +34,9 @@
 // `thread-safety` CMake preset makes any unlocked access a compile error.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "core/multistart.hpp"
 #include "core/problem.hpp"
@@ -76,5 +78,27 @@ struct ParallelMultistartOptions {
 [[nodiscard]] MultistartResult parallel_multistart(
     Problem& problem, const Runner& runner,
     const ParallelMultistartOptions& options, util::Rng& rng);
+
+/// One job of a flat grid: `index` in [0, num_jobs), `worker` the id of the
+/// thread running it (0 = the calling thread, pool workers are 1-based).
+using IndexJob = std::function<void(std::size_t index, std::uint64_t worker)>;
+
+/// The fork/join pool behind every flat job grid (the §4.2.1 tuning pass,
+/// the bench table rows): calls `job` exactly once per index in
+/// [0, num_jobs) and returns after the last call.  Workers claim indices
+/// in ascending order from one shared counter.  Which worker runs an index
+/// is scheduling, never semantics: jobs write per-index slots that the caller
+/// reduces in index order afterwards, which keeps every result
+/// bit-identical for any thread count.
+///
+/// With one thread or at most one job every call runs on the calling
+/// thread with worker 0; otherwise min(num_threads, num_jobs) workers are
+/// spawned with ids 1..n.  `job` is called concurrently and must only touch
+/// per-index or read-only state.  If calls throw, no further indices are
+/// handed out and, once every worker has joined, the exception of the
+/// lowest failing index is rethrown.  Throws std::invalid_argument on
+/// zero num_threads or an empty `job`.
+void drain_indices(std::size_t num_jobs, unsigned num_threads,
+                   const IndexJob& job);
 
 }  // namespace mcopt::core

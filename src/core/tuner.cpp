@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 
 #include "core/figure1.hpp"
+#include "core/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mcopt::core {
@@ -88,37 +91,50 @@ TuneResult tune_scale(GClass cls, const ProblemFactory& factory,
   if (options.num_instances == 0) {
     throw std::invalid_argument("tune_scale: need at least one instance");
   }
+  if (options.num_threads == 0) {
+    throw std::invalid_argument("tune_scale: num_threads must be >= 1");
+  }
 
-  std::vector<double> candidates =
+  const std::vector<double> candidates =
       !options.candidates.empty()
           ? options.candidates
           : default_candidate_scales(cls, options.typical_cost,
                                      options.typical_delta);
-
-  TuneResult result;
-  bool first = true;
+  std::vector<std::unique_ptr<GFunction>> gs;
+  gs.reserve(candidates.size());
   for (const double scale : candidates) {
     GParams params;
     params.scale = scale;
     params.ratio = options.ratio;
-    const auto g = make_g(cls, params);
+    gs.push_back(make_g(cls, params));
+  }
 
+  // Job j scores candidate j / n on instance j % n into its own slot.
+  const std::size_t n = options.num_instances;
+  std::vector<double> reductions(candidates.size() * n, 0.0);
+  drain_indices(reductions.size(), options.num_threads,
+                [&](std::size_t job, std::uint64_t /*worker*/) {
+                  const std::size_t i = job % n;
+                  auto problem = factory(i);
+                  // Common random numbers across candidates: the move
+                  // stream depends on the instance only, so candidates are
+                  // compared like-for-like.
+                  util::Rng rng{util::derive_seed(options.seed, i)};
+                  Figure1Options fig1;
+                  fig1.budget = options.budget;
+                  reductions[job] =
+                      run_figure1(*problem, *gs[job / n], fig1, rng)
+                          .reduction();
+                });
+
+  TuneResult result;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
     double total_reduction = 0.0;
-    for (std::size_t i = 0; i < options.num_instances; ++i) {
-      auto problem = factory(i);
-      // Common random numbers across candidates: the move stream depends on
-      // the instance only, so candidates are compared like-for-like.
-      util::Rng rng{util::derive_seed(options.seed, i)};
-      Figure1Options fig1;
-      fig1.budget = options.budget;
-      const RunResult run = run_figure1(*problem, *g, fig1, rng);
-      total_reduction += run.reduction();
-    }
-    result.scores.emplace_back(scale, total_reduction);
-    if (first || total_reduction > result.best_total_reduction) {
-      result.best_scale = scale;
+    for (std::size_t i = 0; i < n; ++i) total_reduction += reductions[c * n + i];
+    result.scores.emplace_back(candidates[c], total_reduction);
+    if (c == 0 || total_reduction > result.best_total_reduction) {
+      result.best_scale = candidates[c];
       result.best_total_reduction = total_reduction;
-      first = false;
     }
   }
   return result;

@@ -29,6 +29,8 @@ namespace mcopt::core {
 /// Produces a fresh problem for training instance `index`, already holding
 /// the experiment's initial solution ("Each g class used the same initial
 /// arrangement", §4.2.1 — the factory must be deterministic in `index`).
+/// tune_scale() calls it concurrently from its worker threads, so it must
+/// only read shared state.
 using ProblemFactory =
     std::function<std::unique_ptr<Problem>(std::size_t index)>;
 
@@ -45,6 +47,9 @@ struct TunerOptions {
   /// typical uphill move size.  Only used when `candidates` is empty.
   double typical_cost = 60.0;
   double typical_delta = 2.0;
+  /// Worker threads for the candidate x instance job grid.  Must be >= 1;
+  /// the result is independent of this value.
+  unsigned num_threads = 1;
 };
 
 struct TuneResult {
@@ -63,7 +68,15 @@ struct TuneResult {
 /// Runs the §4.2.1 grid search for `cls` with the Figure 1 strategy.
 /// For scale-free classes (g = 1, two-level) this evaluates the single
 /// trivial candidate so the returned score is still meaningful.
-/// Throws std::invalid_argument on an empty factory or zero instances.
+///
+/// Every (candidate, instance) run is an independent job on
+/// `options.num_threads` workers (core::drain_indices).  Instance i draws
+/// its moves from derive_seed(options.seed, i) under every candidate
+/// (common random numbers), and the per-job reductions are summed in
+/// (candidate, instance) order, so the scores and the first-best
+/// tie-break are bit-identical for any thread count.
+/// Throws std::invalid_argument on an empty factory, zero instances or
+/// zero num_threads.
 [[nodiscard]] TuneResult tune_scale(GClass cls, const ProblemFactory& factory,
                                     const TunerOptions& options);
 

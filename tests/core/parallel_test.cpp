@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -260,6 +261,80 @@ TEST(ParallelMultistartTest, EarlyTerminatingRunnerExtendsRestarts) {
     const MultistartResult parallel =
         parallel_multistart(problem, half_runner, options, rng);
     expect_identical(sequential, parallel);
+  }
+}
+
+// --- drain_indices: the shared index-drain pool ---------------------------
+
+TEST(ParallelDrainTest, VisitsEveryIndexExactlyOnce) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    for (const std::size_t jobs : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{3}, std::size_t{100}}) {
+      // Per-index slots: a double visit is a failed count (and a data race
+      // under TSan), a missed one a zero.
+      std::vector<int> visits(jobs, 0);
+      drain_indices(jobs, threads, [&](std::size_t index, std::uint64_t) {
+        ++visits[index];
+      });
+      EXPECT_EQ(visits, std::vector<int>(jobs, 1))
+          << threads << " threads, " << jobs << " jobs";
+    }
+  }
+}
+
+TEST(ParallelDrainTest, WorkerIdsAreOneBasedAndBounded) {
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    const std::size_t jobs = 64;
+    std::vector<std::uint64_t> worker_of(jobs, 0);
+    drain_indices(jobs, threads, [&](std::size_t index, std::uint64_t worker) {
+      worker_of[index] = worker;
+    });
+    for (const std::uint64_t worker : worker_of) {
+      EXPECT_GE(worker, 1u);
+      EXPECT_LE(worker, threads);
+    }
+  }
+  // More workers than jobs: only min(threads, jobs) are spawned.
+  std::vector<std::uint64_t> worker_of(2, 0);
+  drain_indices(2, 8, [&](std::size_t index, std::uint64_t worker) {
+    worker_of[index] = worker;
+  });
+  for (const std::uint64_t worker : worker_of) {
+    EXPECT_GE(worker, 1u);
+    EXPECT_LE(worker, 2u);
+  }
+}
+
+TEST(ParallelDrainTest, SerialPathRunsOnCallerInIndexOrder) {
+  // One thread, or a single job: worker 0 (the calling thread).
+  std::vector<std::size_t> seen;
+  std::vector<std::uint64_t> workers;
+  auto record = [&](std::size_t index, std::uint64_t worker) {
+    seen.push_back(index);
+    workers.push_back(worker);
+  };
+  drain_indices(4, 1, record);
+  drain_indices(1, 8, record);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 0}));
+  EXPECT_EQ(workers, std::vector<std::uint64_t>(5, 0));
+}
+
+TEST(ParallelDrainTest, RejectsZeroThreadsAndEmptyJob) {
+  EXPECT_THROW(drain_indices(4, 0, [](std::size_t, std::uint64_t) {}),
+               std::invalid_argument);
+  EXPECT_THROW(drain_indices(4, 2, IndexJob{}), std::invalid_argument);
+}
+
+TEST(ParallelDrainTest, RethrowsAJobFailureAfterJoining) {
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(drain_indices(50, threads,
+                               [](std::size_t index, std::uint64_t) {
+                                 if (index == 17) {
+                                   throw std::runtime_error("job 17");
+                                 }
+                               }),
+                 std::runtime_error)
+        << threads << " threads";
   }
 }
 

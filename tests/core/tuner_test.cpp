@@ -8,7 +8,13 @@
 #include <memory>
 #include <stdexcept>
 
+#include "core/figure1.hpp"
+#include "linarr/arrangement.hpp"
+#include "linarr/problem.hpp"
+#include "netlist/generator.hpp"
+#include "netlist/netlist.hpp"
 #include "support/toy_problem.hpp"
+#include "util/rng.hpp"
 
 namespace mcopt::core {
 namespace {
@@ -25,6 +31,17 @@ ProblemFactory toy_factory() {
       landscape[i] = static_cast<double>((i * (7 + index) + 3) % 13);
     }
     return std::make_unique<ToyProblem>(landscape, index % landscape.size());
+  };
+}
+
+/// A 4-instance GOLA training set with per-instance random starts, as the
+/// table benches build it.
+ProblemFactory gola_factory(const std::vector<netlist::Netlist>& instances) {
+  return [&instances](std::size_t index) -> std::unique_ptr<Problem> {
+    const netlist::Netlist& nl = instances[index];
+    util::Rng rng{util::derive_seed(11, index)};
+    return std::make_unique<linarr::LinArrProblem>(
+        nl, linarr::Arrangement::random(nl.num_cells(), rng));
   };
 }
 
@@ -158,6 +175,101 @@ TEST(TuneScaleTest, ReductionsAreNonNegative) {
       EXPECT_GE(score, 0.0) << g_class_name(cls) << " scale " << scale;
     }
   }
+}
+
+// --- the parallel candidate x instance grid -------------------------------
+
+TEST(ParallelTuneTest, RejectsZeroThreads) {
+  TunerOptions options;
+  options.num_instances = 2;
+  options.num_threads = 0;
+  EXPECT_THROW((void)tune_scale(GClass::kMetropolis, toy_factory(), options),
+               std::invalid_argument);
+}
+
+TEST(ParallelTuneTest, ScoresBitIdenticalAcrossThreadCountsOnToy) {
+  TunerOptions options;
+  options.budget = 300;
+  options.num_instances = 7;
+  for (const GClass cls : {GClass::kMetropolis, GClass::kSixTempAnnealing,
+                           GClass::kCubicDiff, GClass::kGOne}) {
+    options.num_threads = 1;
+    const TuneResult serial = tune_scale(cls, toy_factory(), options);
+    for (const unsigned threads : {2u, 8u}) {
+      options.num_threads = threads;
+      const TuneResult parallel = tune_scale(cls, toy_factory(), options);
+      EXPECT_EQ(parallel.scores, serial.scores)  // == on every double
+          << g_class_name(cls) << " at " << threads << " threads";
+      EXPECT_EQ(parallel.best_scale, serial.best_scale);
+      EXPECT_EQ(parallel.best_total_reduction, serial.best_total_reduction);
+    }
+  }
+}
+
+TEST(ParallelTuneTest, ScoresBitIdenticalAcrossThreadCountsOnGola) {
+  const auto instances =
+      netlist::gola_test_set(4, netlist::GolaParams{15, 150}, 1985);
+  TunerOptions options;
+  options.budget = 400;
+  options.num_instances = instances.size();
+  options.typical_cost = 80.0;
+  for (const GClass cls : {GClass::kSixTempAnnealing, GClass::kExponential}) {
+    options.num_threads = 1;
+    const TuneResult serial = tune_scale(cls, gola_factory(instances), options);
+    ASSERT_EQ(serial.scores.size(), 6u);
+    for (const unsigned threads : {2u, 8u}) {
+      options.num_threads = threads;
+      const TuneResult parallel =
+          tune_scale(cls, gola_factory(instances), options);
+      EXPECT_EQ(parallel.scores, serial.scores)
+          << g_class_name(cls) << " at " << threads << " threads";
+      EXPECT_EQ(parallel.best_scale, serial.best_scale);
+    }
+  }
+}
+
+TEST(ParallelTuneTest, MatchesTheSerialCandidateLoop) {
+  // The pre-grid definition of a score: per candidate, the Figure 1
+  // reductions summed in instance order with the instance's common
+  // random-number stream.
+  const auto instances =
+      netlist::gola_test_set(4, netlist::GolaParams{15, 150}, 1985);
+  TunerOptions options;
+  options.candidates = {0.5, 2.0, 8.0};
+  options.budget = 300;
+  options.num_instances = instances.size();
+  options.seed = 5;
+  options.num_threads = 4;
+  const TuneResult result = tune_scale(
+      GClass::kSixTempAnnealing, gola_factory(instances), options);
+  ASSERT_EQ(result.scores.size(), options.candidates.size());
+  for (std::size_t c = 0; c < options.candidates.size(); ++c) {
+    const auto g = make_g(GClass::kSixTempAnnealing,
+                          {.scale = options.candidates[c], .ratio = 0.9});
+    double total = 0.0;
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      auto problem = gola_factory(instances)(i);
+      util::Rng rng{util::derive_seed(options.seed, i)};
+      Figure1Options fig1;
+      fig1.budget = options.budget;
+      total += run_figure1(*problem, *g, fig1, rng).reduction();
+    }
+    EXPECT_EQ(result.scores[c].second, total) << "candidate " << c;
+  }
+}
+
+TEST(ParallelTuneTest, FactoryFailurePropagatesFromWorkers) {
+  TunerOptions options;
+  options.budget = 100;
+  options.num_instances = 6;
+  options.num_threads = 4;
+  const ProblemFactory failing =
+      [](std::size_t index) -> std::unique_ptr<Problem> {
+    if (index == 3) throw std::runtime_error("bad training instance");
+    return toy_factory()(index);
+  };
+  EXPECT_THROW((void)tune_scale(GClass::kMetropolis, failing, options),
+               std::runtime_error);
 }
 
 }  // namespace
