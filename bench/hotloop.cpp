@@ -1,39 +1,33 @@
-// Proposal hot-loop throughput — the speculative-evaluation perf gate.
+// Proposal hot-loop throughput of the speculative evaluation path.
 //
-// The speculative path (core::EvalPath::kSpeculative) makes a rejected
-// proposal (nearly) free: propose() evaluates the candidate into per-move
-// scratch and reject() only clears it, where the apply-undo path applies
-// the move and replays the full inverse.  This driver prices that on two
-// workloads:
+// propose() scores a move into per-move scratch without committing;
+// accept() commits it in O(touched nets) and reject() only clears the
+// scratch.  This driver prices that step on two workloads:
 //
 //  1. A stripped Metropolis kernel with a *fixed* uphill-accept
-//     probability, swept from always-reject to always-accept, so the
-//     speedup is measured as a function of acceptance rate.  The kernel
-//     owns its acceptance draws and streams them from Rng::next_block —
-//     the block-draw API this PR added — in 256-word blocks; pair draws
-//     stay inside propose(), so both evaluation paths consume identical
-//     RNG streams and every legacy/speculative pair must agree exactly
-//     (final cost, accept count, final arrangement) or the driver fails.
+//     probability, swept from always-reject to always-accept, so
+//     throughput is measured as a function of acceptance rate.  The
+//     kernel owns its acceptance draws and streams them from
+//     Rng::next_block in 256-word blocks; pair draws stay inside
+//     propose().
 //  2. The hand-stripped Figure 1 loop (bench/figure1_stripped.hpp) — the
-//     committed baseline the observability benches time — run once per
-//     evaluation path with bench::stripped_results_match enforcing
-//     bit-identical results.  Its whole-run acceptance rate is reported
-//     alongside its speedup; the hard "≥ gate× at ≤10% acceptance" gate
-//     binds on every row whose *measured* acceptance is ≤10% (always
-//     including the p_up=0 kernel rows).
+//     committed baseline the observability benches time.
 //
-// The driver also re-checks determinism where the speculation journal
-// could plausibly leak state: an 8-thread parallel multistart over
-// speculative-path clones must match the 1-thread run, and the
-// apply-undo multistart, exactly.
+// Every rep of a workload must reproduce the first rep exactly (final
+// cost, accept count, final arrangement), and an 8-thread parallel
+// multistart over clones must match the 1-thread run, or the driver
+// fails.
 //
 // Results land in BENCH_hotloop.json via bench::write_json_report and are
-// gated against the committed baseline by tools/bench_compare.py.
+// gated against the committed baseline by tools/bench_compare.py: the
+// throughput fields ride its perf band, and each config's accepts and
+// final cost plus Figure 1's best cost and accepts are exact fields, so
+// the baseline pins the trajectories from one commit to the next.  Derived
+// hardware-counter fields (IPC, cache-miss rate, cycles per proposal) are
+// written only when the counters they are computed from opened.
 //
-// Flags: --proposals N    proposals per timed kernel run (default 2'000'000)
-//        --reps N         timed repetitions per config, best-of (default 5)
-//        --gate-speedup X minimum speculative speedup at <=10% acceptance
-//                         (default 1.5)
+// Flags: --proposals N    proposals per timed run (default 400'000)
+//        --reps N         timed repetitions per config, best-of (default 3)
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -62,8 +56,7 @@ namespace {
 
 using namespace mcopt;
 
-/// What one kernel run produces; every legacy/speculative pair must agree
-/// on all of it.
+/// What one kernel run produces; every rep must reproduce it exactly.
 struct KernelResult {
   double final_cost = 0.0;
   std::uint64_t accepts = 0;
@@ -118,18 +111,14 @@ struct Instance {
   netlist::Netlist nl;
 };
 
-/// One acceptance-swept row: both paths timed best-of-reps on the same
-/// streams, with exact-agreement enforcement per rep.
+/// One acceptance-swept row, timed best-of-reps.
 struct KernelRow {
   std::string name;
-  double acceptance_rate = 0.0;
-  double legacy_proposals_per_sec = 0.0;
-  double spec_proposals_per_sec = 0.0;
-  double speedup = 0.0;
-  /// Hardware counts of the fastest rep per path (all zero when counters
-  /// are unavailable) — the microarchitectural attribution of the speedup.
-  obs::PerfCounts legacy_perf;
-  obs::PerfCounts spec_perf;
+  KernelResult result;
+  double proposals_per_sec = 0.0;
+  /// Hardware counts of the fastest rep (zero when counters are
+  /// unavailable).
+  obs::PerfCounts perf;
 };
 
 /// Counter deltas around one timed region; zeros when unavailable.
@@ -149,41 +138,54 @@ class ScopedPerfSample {
   bool live_;
 };
 
-/// The informational per-path JSON fields bench_compare.py never gates:
-/// IPC, cache-miss rate, cycles per proposal.
-void append_perf_fields(const char* prefix, const obs::PerfCounts& counts,
-                        std::uint64_t proposals, std::string& json,
-                        const char* indent) {
-  char buf[192];
-  const double cycles_per_proposal =
-      proposals > 0 ? static_cast<double>(counts.cycles) /
-                          static_cast<double>(proposals)
-                    : 0.0;
-  std::snprintf(buf, sizeof buf,
-                "%s\"%s_ipc\": %.4f, \"%s_cache_miss_rate\": %.4f, "
-                "\"%s_cycles_per_proposal\": %.1f",
-                indent, prefix, obs::perf_ipc(counts), prefix,
-                obs::perf_cache_miss_rate(counts), prefix,
-                cycles_per_proposal);
-  json += buf;
+/// The informational derived-counter JSON fields bench_compare.py never
+/// gates, each as `<sep>"<prefix><name>": value`.  A field is written only
+/// when every counter it is computed from opened, so a PMU-less host
+/// commits no zeros that would read as measurements.
+std::string perf_fields(const char* prefix, const obs::PerfCounts& counts,
+                        std::uint64_t proposals,
+                        const std::vector<obs::PerfCounter>& active,
+                        const char* sep) {
+  auto opened = [&active](obs::PerfCounter which) {
+    return std::find(active.begin(), active.end(), which) != active.end();
+  };
+  std::string out;
+  char buf[128];
+  const bool cycles = opened(obs::PerfCounter::kCycles);
+  if (cycles && opened(obs::PerfCounter::kInstructions)) {
+    std::snprintf(buf, sizeof buf, "%s\"%sipc\": %.4f", sep, prefix,
+                  obs::perf_ipc(counts));
+    out += buf;
+  }
+  if (opened(obs::PerfCounter::kCacheReferences) &&
+      opened(obs::PerfCounter::kCacheMisses)) {
+    std::snprintf(buf, sizeof buf, "%s\"%scache_miss_rate\": %.4f", sep,
+                  prefix, obs::perf_cache_miss_rate(counts));
+    out += buf;
+  }
+  if (cycles && proposals > 0) {
+    std::snprintf(buf, sizeof buf, "%s\"%scycles_per_proposal\": %.1f", sep,
+                  prefix,
+                  static_cast<double>(counts.cycles) /
+                      static_cast<double>(proposals));
+    out += buf;
+  }
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Args args{argc, argv};
-  const auto unknown =
-      args.unknown_flags({"proposals", "reps", "gate-speedup"});
+  const auto unknown = args.unknown_flags({"proposals", "reps"});
   if (!unknown.empty() || !args.positional().empty()) {
-    obs::log(obs::LogLevel::kError,
-             "usage: %s [--proposals N] [--reps N] [--gate-speedup X]",
+    obs::log(obs::LogLevel::kError, "usage: %s [--proposals N] [--reps N]",
              args.program().c_str());
     return 2;
   }
-  const long long proposals_flag = args.get_int("proposals", 2'000'000);
-  const long long reps_flag = args.get_int("reps", 5);
-  const double gate_speedup = args.get_double("gate-speedup", 1.5);
-  if (proposals_flag < 1 || reps_flag < 1 || gate_speedup <= 0.0) {
+  const long long proposals_flag = args.get_int("proposals", 400'000);
+  const long long reps_flag = args.get_int("reps", 3);
+  if (proposals_flag < 1 || reps_flag < 1) {
     obs::log(obs::LogLevel::kError, "%s: flags must be positive",
              args.program().c_str());
     return 2;
@@ -191,13 +193,10 @@ int main(int argc, char** argv) {
   const auto proposals = static_cast<std::uint64_t>(proposals_flag);
   const auto reps = static_cast<std::size_t>(reps_flag);
 
-  char gate_buf[32];
-  std::snprintf(gate_buf, sizeof gate_buf, "%.2f", gate_speedup);
   bench::print_header(
-      "Proposal hot-loop throughput (speculative vs apply-undo)",
+      "Proposal hot-loop throughput (speculative evaluation)",
       "fixed-acceptance Metropolis kernel + stripped Figure 1; best-of-reps; "
-      "gate: speculative >= " +
-          std::string{gate_buf} + "x at <=10% acceptance");
+      "every rep and the t1/t8 multistart must agree exactly");
 
   util::Rng gen_small{util::derive_seed(bench::kSeed, 15)};
   util::Rng gen_large{util::derive_seed(bench::kSeed, 60)};
@@ -209,19 +208,17 @@ int main(int argc, char** argv) {
       {"60/600", 60,
        netlist::random_gola(netlist::GolaParams{60, 600}, gen_large)});
 
-  auto make_problem = [&](const Instance& inst, core::EvalPath path) {
+  auto make_problem = [&](const Instance& inst) {
     util::Rng start_rng{util::derive_seed(bench::kSeed + 3, inst.cells)};
     return linarr::LinArrProblem{
-        inst.nl, linarr::Arrangement::random(inst.cells, start_rng),
-        linarr::MoveKind::kPairwiseInterchange, linarr::Objective::kDensity,
-        path};
+        inst.nl, linarr::Arrangement::random(inst.cells, start_rng)};
   };
 
-  // Hardware counters for the timed regions; the sweep attributes the
-  // speculative speedup to IPC / cache behaviour when the platform allows
-  // self-monitoring, and degrades to zero-valued informational fields when
-  // it does not (CI's asserted path).
+  // Hardware counters for the timed regions, where the platform allows
+  // self-monitoring; only the derived fields whose inputs opened are
+  // written.
   const obs::PerfCounterGroup perf{obs::all_perf_counters()};
+  const std::vector<obs::PerfCounter> active = perf.active_counters();
   if (!perf.available()) {
     obs::log(obs::LogLevel::kInfo, "perf counters unavailable: %s",
              perf.unavailable_reason().c_str());
@@ -238,99 +235,68 @@ int main(int argc, char** argv) {
                     inst.label, p_uphill);
       row.name = name_buf;
 
-      KernelResult reference;
-      bool have_reference = false;
-      double legacy_best = 1e300;
-      double spec_best = 1e300;
-      for (const core::EvalPath path :
-           {core::EvalPath::kApplyUndo, core::EvalPath::kSpeculative}) {
-        for (std::size_t rep = 0; rep < reps; ++rep) {
-          auto problem = make_problem(inst, path);
-          util::Rng move_rng = util::Rng::split(bench::kSeed + 9, inst.cells);
-          util::Rng accept_rng =
-              util::Rng::split(bench::kSeed + 11, inst.cells);
-          const ScopedPerfSample sample{perf};
-          util::Stopwatch watch;
-          const KernelResult result = run_kernel(problem, proposals, p_uphill,
-                                                 move_rng, accept_rng);
-          const double seconds = watch.seconds();
-          const obs::PerfCounts counts = sample.finish();
-          if (!have_reference) {
-            reference = result;
-            have_reference = true;
-          } else if (!(result == reference)) {
-            obs::log(obs::LogLevel::kError,
-                     "FATAL: '%s' diverged between evaluation paths "
-                     "(determinism violation)",
-                     row.name.c_str());
-            trajectory_identical = false;
-          }
-          if (path == core::EvalPath::kApplyUndo) {
-            if (seconds < legacy_best) row.legacy_perf = counts;
-            legacy_best = std::min(legacy_best, seconds);
-          } else {
-            if (seconds < spec_best) row.spec_perf = counts;
-            spec_best = std::min(spec_best, seconds);
-          }
+      double best = 1e300;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        auto problem = make_problem(inst);
+        util::Rng move_rng = util::Rng::split(bench::kSeed + 9, inst.cells);
+        util::Rng accept_rng = util::Rng::split(bench::kSeed + 11, inst.cells);
+        const ScopedPerfSample sample{perf};
+        util::Stopwatch watch;
+        const KernelResult result =
+            run_kernel(problem, proposals, p_uphill, move_rng, accept_rng);
+        const double seconds = watch.seconds();
+        const obs::PerfCounts counts = sample.finish();
+        if (rep == 0) {
+          row.result = result;
+        } else if (!(result == row.result)) {
+          obs::log(obs::LogLevel::kError,
+                   "FATAL: '%s' diverged between reps (determinism "
+                   "violation)",
+                   row.name.c_str());
+          trajectory_identical = false;
         }
+        if (seconds < best) row.perf = counts;
+        best = std::min(best, seconds);
       }
-      row.acceptance_rate =
-          static_cast<double>(reference.accepts) /
-          static_cast<double>(proposals);
-      row.legacy_proposals_per_sec =
-          static_cast<double>(proposals) / legacy_best;
-      row.spec_proposals_per_sec = static_cast<double>(proposals) / spec_best;
-      row.speedup = legacy_best / spec_best;
+      row.proposals_per_sec = static_cast<double>(proposals) / best;
       rows.push_back(row);
     }
   }
 
-  // Stripped Figure 1: the committed pre-PR baseline loop, once per path.
+  // Stripped Figure 1: the committed baseline loop.
   const auto g = core::make_g(core::GClass::kSixTempAnnealing);
   core::Figure1Options fig_options;
   fig_options.budget = proposals;
-  core::RunResult fig_reference;
-  double fig_legacy_best = 1e300;
-  double fig_spec_best = 1e300;
-  obs::PerfCounts fig_legacy_perf;
-  obs::PerfCounts fig_spec_perf;
-  bool have_fig_reference = false;
-  for (const core::EvalPath path :
-       {core::EvalPath::kApplyUndo, core::EvalPath::kSpeculative}) {
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      auto problem = make_problem(instances[0], path);
-      util::Rng rng{bench::kSeed + 9};
-      const ScopedPerfSample sample{perf};
-      util::Stopwatch watch;
-      const core::RunResult result =
-          bench::run_figure1_stripped(problem, *g, fig_options, rng);
-      const double seconds = watch.seconds();
-      const obs::PerfCounts counts = sample.finish();
-      if (!have_fig_reference) {
-        fig_reference = result;
-        have_fig_reference = true;
-      } else if (!bench::stripped_results_match(fig_reference, result)) {
-        obs::log(obs::LogLevel::kError,
-                 "FATAL: stripped Figure 1 diverged between evaluation "
-                 "paths (determinism violation)");
-        trajectory_identical = false;
-      }
-      if (path == core::EvalPath::kApplyUndo) {
-        if (seconds < fig_legacy_best) fig_legacy_perf = counts;
-        fig_legacy_best = std::min(fig_legacy_best, seconds);
-      } else {
-        if (seconds < fig_spec_best) fig_spec_perf = counts;
-        fig_spec_best = std::min(fig_spec_best, seconds);
-      }
+  core::RunResult fig_result;
+  double fig_best = 1e300;
+  obs::PerfCounts fig_perf;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    auto problem = make_problem(instances[0]);
+    util::Rng rng{bench::kSeed + 9};
+    const ScopedPerfSample sample{perf};
+    util::Stopwatch watch;
+    const core::RunResult result =
+        bench::run_figure1_stripped(problem, *g, fig_options, rng);
+    const double seconds = watch.seconds();
+    const obs::PerfCounts counts = sample.finish();
+    if (rep == 0) {
+      fig_result = result;
+    } else if (!bench::stripped_results_match(fig_result, result)) {
+      obs::log(obs::LogLevel::kError,
+               "FATAL: stripped Figure 1 diverged between reps "
+               "(determinism violation)");
+      trajectory_identical = false;
     }
+    if (seconds < fig_best) fig_perf = counts;
+    fig_best = std::min(fig_best, seconds);
   }
-  const double fig_acceptance =
-      static_cast<double>(fig_reference.accepts) /
-      static_cast<double>(fig_reference.proposals);
-  const double fig_speedup = fig_legacy_best / fig_spec_best;
+  const double fig_acceptance = static_cast<double>(fig_result.accepts) /
+                                static_cast<double>(fig_result.proposals);
+  const double fig_proposals_per_sec =
+      static_cast<double>(fig_result.proposals) / fig_best;
 
-  // Parallel determinism: speculative clones across 8 workers must match
-  // the 1-thread run and the apply-undo engine exactly.
+  // Parallel determinism: clones across 8 workers must match the 1-thread
+  // run exactly.
   core::Runner runner = [&g](core::Problem& p, std::uint64_t slice,
                              util::Rng& r, const obs::Recorder& recorder) {
     core::Figure1Options options;
@@ -339,8 +305,8 @@ int main(int argc, char** argv) {
     return core::run_figure1(p, *g, options, r);
   };
   const std::uint64_t ms_budget = std::min<std::uint64_t>(proposals, 200'000);
-  auto run_multistart = [&](core::EvalPath path, unsigned threads) {
-    auto problem = make_problem(instances[0], path);
+  auto run_multistart = [&](unsigned threads) {
+    auto problem = make_problem(instances[0]);
     core::ParallelMultistartOptions options;
     options.multistart.total_budget = ms_budget;
     options.multistart.budget_per_start =
@@ -349,125 +315,101 @@ int main(int argc, char** argv) {
     util::Rng rng{bench::kSeed + 21};
     return core::parallel_multistart(problem, runner, options, rng);
   };
-  const auto spec_t1 = run_multistart(core::EvalPath::kSpeculative, 1);
-  const auto spec_t8 = run_multistart(core::EvalPath::kSpeculative, 8);
-  const auto legacy_t1 = run_multistart(core::EvalPath::kApplyUndo, 1);
-  auto multistart_equal = [](const core::MultistartResult& a,
-                             const core::MultistartResult& b) {
-    return a.restarts == b.restarts &&
-           a.restart_best_costs == b.restart_best_costs &&
-           a.aggregate.best_cost == b.aggregate.best_cost &&
-           a.aggregate.final_cost == b.aggregate.final_cost &&
-           a.aggregate.best_state == b.aggregate.best_state &&
-           a.aggregate.proposals == b.aggregate.proposals &&
-           a.aggregate.accepts == b.aggregate.accepts;
-  };
-  const bool parallel_identical = multistart_equal(spec_t1, spec_t8) &&
-                                  multistart_equal(spec_t1, legacy_t1);
+  const auto t1 = run_multistart(1);
+  const auto t8 = run_multistart(8);
+  const bool parallel_identical =
+      t1.restarts == t8.restarts &&
+      t1.restart_best_costs == t8.restart_best_costs &&
+      t1.aggregate.best_cost == t8.aggregate.best_cost &&
+      t1.aggregate.final_cost == t8.aggregate.final_cost &&
+      t1.aggregate.best_state == t8.aggregate.best_state &&
+      t1.aggregate.proposals == t8.aggregate.proposals &&
+      t1.aggregate.accepts == t8.aggregate.accepts;
   if (!parallel_identical) {
     obs::log(obs::LogLevel::kError,
-             "FATAL: parallel multistart results diverged across thread "
-             "counts or evaluation paths (determinism violation)");
+             "FATAL: parallel multistart diverged between 1 and 8 threads "
+             "(determinism violation)");
   }
 
   util::Table table;
   table.add_column("config", util::Table::Align::kLeft);
   table.add_column("accept rate");
-  table.add_column("legacy p/s");
-  table.add_column("spec p/s");
-  table.add_column("speedup");
+  table.add_column("accepts");
+  table.add_column("final cost");
+  table.add_column("prop/s");
   for (const KernelRow& row : rows) {
     table.begin_row();
     table.cell(row.name);
-    table.cell(row.acceptance_rate, 4);
-    table.cell(row.legacy_proposals_per_sec, 0);
-    table.cell(row.spec_proposals_per_sec, 0);
-    table.cell(row.speedup, 3);
+    table.cell(static_cast<double>(row.result.accepts) /
+                   static_cast<double>(proposals),
+               4);
+    table.cell(static_cast<unsigned long long>(row.result.accepts));
+    table.cell(row.result.final_cost, 0);
+    table.cell(row.proposals_per_sec, 0);
   }
   table.begin_row();
   table.cell("figure1 stripped 15/150");
   table.cell(fig_acceptance, 4);
-  table.cell(static_cast<double>(fig_reference.proposals) / fig_legacy_best,
-             0);
-  table.cell(static_cast<double>(fig_reference.proposals) / fig_spec_best, 0);
-  table.cell(fig_speedup, 3);
+  table.cell(static_cast<unsigned long long>(fig_result.accepts));
+  table.cell(fig_result.final_cost, 0);
+  table.cell(fig_proposals_per_sec, 0);
   table.print();
 
-  // The gate: every low-acceptance configuration (<=10% measured) must hit
-  // the target speedup, and all identity checks must hold.
-  bool low_acceptance_fast = fig_acceptance <= 0.10
-                                 ? fig_speedup >= gate_speedup
-                                 : true;
-  for (const KernelRow& row : rows) {
-    if (row.acceptance_rate <= 0.10 && row.speedup < gate_speedup) {
-      low_acceptance_fast = false;
-    }
+  std::string counter_names;
+  for (const obs::PerfCounter which : active) {
+    if (!counter_names.empty()) counter_names += ',';
+    counter_names += obs::perf_counter_name(which);
   }
-  const bool gate_ok =
-      low_acceptance_fast && trajectory_identical && parallel_identical;
-
   std::string json = "{\n  \"bench\": \"hotloop\",\n";
   json += "  \"seed\": " + std::to_string(bench::kSeed) + ",\n";
   json += "  \"proposals\": " + std::to_string(proposals) + ",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
-  json += "  \"gate_speedup\": " + std::to_string(gate_speedup) + ",\n";
+  json += "  \"hardware_concurrency\": " +
+          std::to_string(bench::hardware_threads()) + ",\n";
+  // Host facts, informational: which counters opened, or why none did.
+  json += "  \"perf_active_counters\": \"" + counter_names + "\",\n";
+  json += "  \"perf_unavailable_reason\": \"" + perf.unavailable_reason() +
+          "\",\n";
   char buf[320];
   std::snprintf(buf, sizeof buf,
                 "  \"figure1_acceptance_rate\": %.4f,\n"
-                "  \"figure1_legacy_proposals_per_sec\": %.1f,\n"
-                "  \"figure1_spec_proposals_per_sec\": %.1f,\n"
-                "  \"figure1_speedup\": %.3f,\n",
-                fig_acceptance,
-                static_cast<double>(fig_reference.proposals) / fig_legacy_best,
-                static_cast<double>(fig_reference.proposals) / fig_spec_best,
-                fig_speedup);
+                "  \"figure1_proposals_per_sec\": %.1f,\n"
+                "  \"figure1_best_cost\": %.17g,\n"
+                "  \"figure1_accepts\": %llu",
+                fig_acceptance, fig_proposals_per_sec, fig_result.best_cost,
+                static_cast<unsigned long long>(fig_result.accepts));
   json += buf;
-  // Informational hardware-counter attribution (never gated): why the
-  // speculative path is faster, not just how much.
-  json += std::string{"  \"perf_counters_available\": "} +
-          (perf.available() ? "true" : "false") + ",\n";
-  json += "  \"perf_unavailable_reason\": \"" +
-          (perf.available() ? std::string{} : perf.unavailable_reason()) +
-          "\",\n";
-  append_perf_fields("figure1_legacy", fig_legacy_perf,
-                     fig_reference.proposals, json, "  ");
-  json += ",\n";
-  append_perf_fields("figure1_spec", fig_spec_perf, fig_reference.proposals,
-                     json, "  ");
+  json += perf_fields("figure1_", fig_perf, fig_result.proposals, active,
+                      ",\n  ");
   json += ",\n";
   json += std::string{"  \"trajectory_identical\": "} +
           (trajectory_identical ? "true" : "false") + ",\n";
   json += std::string{"  \"parallel_identical\": "} +
           (parallel_identical ? "true" : "false") + ",\n";
-  json += std::string{"  \"gate_ok\": "} + (gate_ok ? "true" : "false") +
-          ",\n";
   json += "  \"configs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const KernelRow& row = rows[i];
     std::snprintf(buf, sizeof buf,
                   "    {\"name\": \"%s\", \"acceptance_rate\": %.4f, "
-                  "\"legacy_proposals_per_sec\": %.1f, "
-                  "\"spec_proposals_per_sec\": %.1f, \"speedup\": %.3f,\n",
-                  row.name.c_str(), row.acceptance_rate,
-                  row.legacy_proposals_per_sec, row.spec_proposals_per_sec,
-                  row.speedup);
+                  "\"accepts\": %llu, \"final_cost\": %.17g, "
+                  "\"proposals_per_sec\": %.1f",
+                  row.name.c_str(),
+                  static_cast<double>(row.result.accepts) /
+                      static_cast<double>(proposals),
+                  static_cast<unsigned long long>(row.result.accepts),
+                  row.result.final_cost, row.proposals_per_sec);
     json += buf;
-    append_perf_fields("legacy", row.legacy_perf, proposals, json, "     ");
-    json += ",\n";
-    append_perf_fields("spec", row.spec_perf, proposals, json, "     ");
+    json += perf_fields("", row.perf, proposals, active, ", ");
     json += std::string{"}"} + (i + 1 < rows.size() ? "," : "") + "\n";
   }
   json += "  ]\n}\n";
   bench::write_json_report("BENCH_hotloop", json);
 
+  const bool identical = trajectory_identical && parallel_identical;
   std::printf(
-      "\nFigure 1 stripped: %.3fx speculative speedup at %.1f%% acceptance "
-      "(gate: >=%.2fx at <=10%%) — %s.\n"
-      "Path/thread determinism: %s.\n",
-      fig_speedup, 100.0 * fig_acceptance, gate_speedup,
-      gate_ok ? "PASS" : "FAIL",
-      trajectory_identical && parallel_identical ? "bit-identical"
-                                                 : "MISMATCH");
-  if (!gate_ok) return 1;
-  return 0;
+      "\nFigure 1 stripped: %.0f proposals/s at %.1f%% acceptance.\n"
+      "Rep/thread determinism: %s.\n",
+      fig_proposals_per_sec, 100.0 * fig_acceptance,
+      identical ? "bit-identical" : "MISMATCH");
+  return identical ? 0 : 1;
 }

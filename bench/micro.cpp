@@ -93,28 +93,20 @@ void BM_DensityFullRecount(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityFullRecount)->Arg(15)->Arg(60)->Arg(240);
 
-// Arg 0 = apply+undo, arg 1 = speculative delta evaluation.  Run with the
-// perf counters available, the IPC / cache_miss_rate / cycles_per_iter
-// user counters attribute the speculative-path speedup to its
-// microarchitectural cause instead of just asserting the ratio.
+// One speculative propose+reject on the paper's 15/150 instance.  Run with
+// the perf counters available, the IPC / cache_miss_rate / cycles_per_iter
+// user counters attribute its cost to a microarchitectural cause.
 void BM_LinArrProposeReject(benchmark::State& state) {
   const auto nl = gola(15, 150);
   util::Rng rng{4};
-  const auto path = state.range(0) == 0 ? core::EvalPath::kApplyUndo
-                                        : core::EvalPath::kSpeculative;
-  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(15, rng),
-                                linarr::MoveKind::kPairwiseInterchange,
-                                linarr::Objective::kDensity, path};
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(15, rng)};
   PerfReport perf{state};
   for (auto _ : state) {
     benchmark::DoNotOptimize(problem.propose(rng));
     problem.reject();
   }
 }
-BENCHMARK(BM_LinArrProposeReject)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("spec");
+BENCHMARK(BM_LinArrProposeReject);
 
 void BM_GEvaluate(benchmark::State& state) {
   const auto cls = static_cast<core::GClass>(state.range(0));

@@ -16,10 +16,10 @@
 // Moves are applied through DensityState so the arrangement and the counts
 // never diverge; `verify()` recomputes everything from scratch for tests.
 //
-// Two evaluation paths:
+// Two ways to make a move:
 //   * apply_swap/apply_move mutate the committed state in place (the
-//     original PR-0 path, kept as the semantic reference: self-inverse,
-//     obviously correct, used by the differential fuzz tests);
+//     state-level reference: self-inverse, obviously correct, used by the
+//     density and stress tests);
 //   * speculate_swap/speculate_move evaluate the same move into a
 //     touched-net journal without committing anything.  The candidate
 //     density/total span are exact integers, so a Metropolis loop can test

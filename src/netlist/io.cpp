@@ -53,6 +53,9 @@ Netlist read_netlist(std::istream& in) {
       if (builder) fail(line_no, "duplicate 'cells' line");
       std::size_t n = 0;
       if (!(ls >> n) || n == 0) fail(line_no, "bad cell count");
+      if (n > kMaxNetlistCells) {
+        fail(line_no, "cell count exceeds " + std::to_string(kMaxNetlistCells));
+      }
       builder.emplace(n);
     } else if (keyword == "net") {
       if (!builder) fail(line_no, "'net' before 'cells'");

@@ -12,6 +12,7 @@
 // diffed.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <istream>
 #include <ostream>
@@ -21,11 +22,17 @@
 
 namespace mcopt::netlist {
 
+/// Largest cell count read_netlist() accepts.  The paper's instances have
+/// at most a few hundred cells; the bound turns a corrupt or hostile
+/// `cells` line into a parse error instead of a multi-gigabyte allocation.
+inline constexpr std::size_t kMaxNetlistCells = 1'000'000;
+
 /// Writes `nl` in mcnl v1 form.
 void write_netlist(std::ostream& out, const Netlist& nl);
 
-/// Parses mcnl v1.  Throws std::runtime_error with a line number on
-/// malformed input.
+/// Parses mcnl v1.  Throws std::runtime_error ("netlist parse error ...",
+/// with a line number where there is one) on malformed input, including a
+/// cell count above kMaxNetlistCells.
 [[nodiscard]] Netlist read_netlist(std::istream& in);
 
 /// Convenience round-trips through strings (used by tests and examples).

@@ -1,20 +1,28 @@
-// Differential fuzz for the speculative evaluation path.
+// Rebuild-oracle fuzz for the speculative evaluation path.
 //
-// For each substrate (linear arrangement with both move kinds, balanced
-// partitioning, TSP) a speculative-path problem and an apply-undo twin are
-// driven through thousands of random propose/accept/reject/descend
-// sequences with identical RNG streams.  The apply-undo path is the
-// original, obviously-correct implementation kept verbatim as the oracle:
-// at every step both paths must return bit-identical proposal costs,
-// committed costs, and snapshots, and the incremental state must agree
-// with a from-scratch rebuild (state().verify() / check_invariants()).
+// For each substrate (linear arrangement with both move kinds and the
+// total-span objective, balanced partitioning, TSP with both move kinds) a
+// problem is driven through random propose/accept/reject/descend/randomize
+// sequences.  Every proposal is checked against one generic,
+// Problem-level oracle: before propose(), clone the problem and copy the
+// RNG; propose and accept on the clone; rebuild a fresh problem from the
+// clone's snapshot() via restore(), which recounts everything from
+// scratch.  The fresh cost must equal the h_j that propose() returned, the
+// clone's incremental state must agree with a full recompute, and the
+// original must end up equal to the clone after accept() and unchanged
+// after reject().
 //
-// The suite runs under ASan/UBSan in CI, so any journal bookkeeping error
-// that scribbles outside the reserved scratch also surfaces here.
+// The rebuild is what makes the oracle bite in every build:
+// check_invariants() compiles to nothing without MCOPT_CHECK_INVARIANTS.
+// The suite also runs under ASan/UBSan in CI, so any journal bookkeeping
+// error that scribbles outside the reserved scratch surfaces here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "core/problem.hpp"
 #include "linarr/problem.hpp"
@@ -27,150 +35,161 @@
 namespace mcopt {
 namespace {
 
-/// Drives `spec` and `legacy` through `steps` random operations with
-/// identical per-problem RNG streams, asserting lockstep equality after
-/// every operation.  `deep_verify` recomputes the incremental state from
-/// scratch (or checks invariants) for one problem.
-void run_differential_fuzz(core::Problem& spec, core::Problem& legacy,
-                           std::uint64_t seed, int steps,
-                           const std::function<void(core::Problem&)>&
-                               deep_verify) {
-  ASSERT_EQ(spec.cost(), legacy.cost());
-  util::Rng spec_rng{seed};
-  util::Rng legacy_rng{seed};
+/// What the oracle needs to know about one substrate.
+struct Substrate {
+  /// Relative tolerance between an incremental cost and its rebuild: 0
+  /// (exact) for the integer-cost substrates, rounding slack for TSP.
+  double rel_tol = 0.0;
+  /// Asserts the problem's incremental state matches a full recompute.
+  std::function<void(const core::Problem&)> verify;
+  /// Local-optimality check after an unexhausted descend(), or empty.
+  std::function<bool(core::Problem&)> is_local_optimum;
+};
+
+/// A fresh problem rebuilt from `p`'s snapshot: restore() recounts every
+/// incrementally-maintained quantity from scratch.
+std::unique_ptr<core::Problem> rebuild(const core::Problem& p) {
+  auto fresh = p.clone();
+  fresh->restore(p.snapshot());
+  return fresh;
+}
+
+void expect_cost_eq(double rebuilt, double incremental, double rel_tol,
+                    int step) {
+  if (rel_tol == 0.0) {
+    ASSERT_EQ(rebuilt, incremental) << "step " << step;
+  } else {
+    ASSERT_LE(std::abs(rebuilt - incremental),
+              rel_tol * std::max(1.0, std::abs(rebuilt)))
+        << "step " << step;
+  }
+}
+
+void run_rebuild_oracle_fuzz(core::Problem& p, const Substrate& sub,
+                             std::uint64_t seed, int steps) {
+  util::Rng rng{seed};
   util::Rng script{seed ^ 0x9e3779b97f4a7c15ULL};
   for (int step = 0; step < steps; ++step) {
     const std::uint64_t op = script.next() % 16;
     if (op < 12) {
-      // Propose on both, then apply the same accept/reject decision.
-      const double h_spec = spec.propose(spec_rng);
-      const double h_legacy = legacy.propose(legacy_rng);
-      ASSERT_EQ(h_spec, h_legacy) << "step " << step;
-      const bool take =
-          h_spec < spec.cost() || script.next_double() < 0.25;
-      if (take) {
-        spec.accept();
-        legacy.accept();
+      const core::Snapshot before = p.snapshot();
+      const double h_i = p.cost();
+      auto trial = p.clone();
+      util::Rng trial_rng = rng;
+      const double h_j = p.propose(rng);
+      ASSERT_EQ(trial->propose(trial_rng), h_j) << "step " << step;
+      trial->accept();
+      ASSERT_EQ(trial->cost(), h_j) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(sub.verify(*trial)) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_cost_eq(rebuild(*trial)->cost(), h_j, sub.rel_tol, step));
+
+      if (h_j < h_i || script.next_double() < 0.25) {
+        p.accept();
+        ASSERT_EQ(p.snapshot(), trial->snapshot()) << "step " << step;
+        ASSERT_EQ(p.cost(), trial->cost()) << "step " << step;
       } else {
-        spec.reject();
-        legacy.reject();
+        p.reject();
+        ASSERT_EQ(p.snapshot(), before) << "step " << step;
+        ASSERT_EQ(p.cost(), h_i) << "step " << step;
       }
     } else if (op < 14) {
-      // Descend with a small budget; both paths must consume identical
-      // budget and land on the identical local state.
-      util::WorkBudget spec_budget{150};
-      util::WorkBudget legacy_budget{150};
-      spec.descend(spec_budget);
-      legacy.descend(legacy_budget);
-      ASSERT_EQ(spec_budget.spent(), legacy_budget.spent())
-          << "step " << step;
+      constexpr std::uint64_t kBudget = 150;
+      util::WorkBudget budget{kBudget};
+      p.descend(budget);
+      ASSERT_LE(budget.spent(), kBudget) << "step " << step;
+      if (sub.is_local_optimum && !budget.exhausted()) {
+        ASSERT_TRUE(sub.is_local_optimum(p)) << "step " << step;
+      }
     } else if (op == 14) {
-      ASSERT_EQ(spec.snapshot(), legacy.snapshot()) << "step " << step;
-    } else {
-      deep_verify(spec);
-      deep_verify(legacy);
+      p.randomize(rng);
     }
-    ASSERT_EQ(spec.cost(), legacy.cost()) << "step " << step;
+    // Every operation leaves a state whose rebuild agrees with it.
+    ASSERT_NO_FATAL_FAILURE(sub.verify(p)) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_cost_eq(rebuild(p)->cost(), p.cost(), sub.rel_tol, step));
   }
-  ASSERT_EQ(spec.snapshot(), legacy.snapshot());
-  deep_verify(spec);
-  deep_verify(legacy);
 }
+
+void verify_linarr(const core::Problem& p) {
+  ASSERT_TRUE(dynamic_cast<const linarr::LinArrProblem&>(p).state().verify());
+}
+
+bool linarr_is_local_optimum(core::Problem& p) {
+  return dynamic_cast<linarr::LinArrProblem&>(p).is_local_optimum();
+}
+
+void verify_partition(const core::Problem& p) {
+  const auto& problem = dynamic_cast<const partition::PartitionProblem&>(p);
+  ASSERT_TRUE(problem.state().verify());
+}
+
+void verify_tsp(const core::Problem& p) {
+  const auto& tour = dynamic_cast<const tsp::TspProblem&>(p);
+  ASSERT_TRUE(tsp::is_valid_order(tour.order(), tour.instance().size()));
+}
+
+Substrate linarr_substrate() {
+  return {0.0, verify_linarr, linarr_is_local_optimum};
+}
+Substrate partition_substrate() { return {0.0, verify_partition, {}}; }
+Substrate tsp_substrate() { return {1e-9, verify_tsp, {}}; }
 
 class SpeculativeFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpeculativeFuzzTest, LinArrPairwiseInterchange) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 101 + 7};
-  const auto nl =
-      netlist::random_gola(netlist::GolaParams{12, 80}, gen);
-  const auto start = linarr::Arrangement::random(12, gen);
-  linarr::LinArrProblem spec{nl, start,
-                             linarr::MoveKind::kPairwiseInterchange,
-                             linarr::Objective::kDensity,
-                             core::EvalPath::kSpeculative};
-  linarr::LinArrProblem legacy{nl, start,
-                               linarr::MoveKind::kPairwiseInterchange,
-                               linarr::Objective::kDensity,
-                               core::EvalPath::kApplyUndo};
-  run_differential_fuzz(spec, legacy, seed, 600, [](core::Problem& p) {
-    ASSERT_TRUE(dynamic_cast<linarr::LinArrProblem&>(p).state().verify());
-  });
+  const auto nl = netlist::random_gola(netlist::GolaParams{12, 80}, gen);
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(12, gen),
+                                linarr::MoveKind::kPairwiseInterchange};
+  run_rebuild_oracle_fuzz(problem, linarr_substrate(), seed, 600);
 }
 
 TEST_P(SpeculativeFuzzTest, LinArrSingleExchange) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 131 + 3};
-  const auto nl =
-      netlist::random_gola(netlist::GolaParams{12, 80}, gen);
-  const auto start = linarr::Arrangement::random(12, gen);
-  linarr::LinArrProblem spec{nl, start, linarr::MoveKind::kSingleExchange,
-                             linarr::Objective::kDensity,
-                             core::EvalPath::kSpeculative};
-  linarr::LinArrProblem legacy{nl, start, linarr::MoveKind::kSingleExchange,
-                               linarr::Objective::kDensity,
-                               core::EvalPath::kApplyUndo};
-  run_differential_fuzz(spec, legacy, seed, 600, [](core::Problem& p) {
-    ASSERT_TRUE(dynamic_cast<linarr::LinArrProblem&>(p).state().verify());
-  });
+  const auto nl = netlist::random_gola(netlist::GolaParams{12, 80}, gen);
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(12, gen),
+                                linarr::MoveKind::kSingleExchange};
+  run_rebuild_oracle_fuzz(problem, linarr_substrate(), seed, 600);
 }
 
 TEST_P(SpeculativeFuzzTest, LinArrTotalSpanObjective) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 151 + 9};
-  const auto nl =
-      netlist::random_gola(netlist::GolaParams{12, 80}, gen);
-  const auto start = linarr::Arrangement::random(12, gen);
-  linarr::LinArrProblem spec{nl, start,
-                             linarr::MoveKind::kPairwiseInterchange,
-                             linarr::Objective::kTotalSpan,
-                             core::EvalPath::kSpeculative};
-  linarr::LinArrProblem legacy{nl, start,
-                               linarr::MoveKind::kPairwiseInterchange,
-                               linarr::Objective::kTotalSpan,
-                               core::EvalPath::kApplyUndo};
-  run_differential_fuzz(spec, legacy, seed, 600, [](core::Problem& p) {
-    ASSERT_TRUE(dynamic_cast<linarr::LinArrProblem&>(p).state().verify());
-  });
+  const auto nl = netlist::random_gola(netlist::GolaParams{12, 80}, gen);
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(12, gen),
+                                linarr::MoveKind::kPairwiseInterchange,
+                                linarr::Objective::kTotalSpan};
+  run_rebuild_oracle_fuzz(problem, linarr_substrate(), seed, 600);
 }
 
 TEST_P(SpeculativeFuzzTest, Partition) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 171 + 5};
   const auto nl = netlist::random_graph(16, 48, gen);
-  const auto start = partition::PartitionState::random(nl, gen);
-  partition::PartitionProblem spec{start, core::EvalPath::kSpeculative};
-  partition::PartitionProblem legacy{start, core::EvalPath::kApplyUndo};
-  run_differential_fuzz(spec, legacy, seed, 600, [](core::Problem& p) {
-    ASSERT_TRUE(
-        dynamic_cast<partition::PartitionProblem&>(p).state().verify());
-  });
+  partition::PartitionProblem problem{
+      partition::PartitionState::random(nl, gen)};
+  run_rebuild_oracle_fuzz(problem, partition_substrate(), seed, 600);
 }
 
 TEST_P(SpeculativeFuzzTest, TspTwoOpt) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 191 + 1};
   const auto instance = tsp::TspInstance::random_euclidean(16, gen);
-  const auto start = tsp::identity_order(16);
-  tsp::TspProblem spec{instance, start, tsp::TspMoveKind::kTwoOpt,
-                       core::EvalPath::kSpeculative};
-  tsp::TspProblem legacy{instance, start, tsp::TspMoveKind::kTwoOpt,
-                         core::EvalPath::kApplyUndo};
-  run_differential_fuzz(spec, legacy, seed, 600,
-                        [](core::Problem& p) { p.check_invariants(); });
+  tsp::TspProblem problem{instance, tsp::identity_order(16),
+                          tsp::TspMoveKind::kTwoOpt};
+  run_rebuild_oracle_fuzz(problem, tsp_substrate(), seed, 600);
 }
 
 TEST_P(SpeculativeFuzzTest, TspOrOpt) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 211 + 13};
   const auto instance = tsp::TspInstance::random_euclidean(16, gen);
-  const auto start = tsp::identity_order(16);
-  tsp::TspProblem spec{instance, start, tsp::TspMoveKind::kOrOpt,
-                       core::EvalPath::kSpeculative};
-  tsp::TspProblem legacy{instance, start, tsp::TspMoveKind::kOrOpt,
-                         core::EvalPath::kApplyUndo};
-  run_differential_fuzz(spec, legacy, seed, 600,
-                        [](core::Problem& p) { p.check_invariants(); });
+  tsp::TspProblem problem{instance, tsp::identity_order(16),
+                          tsp::TspMoveKind::kOrOpt};
+  run_rebuild_oracle_fuzz(problem, tsp_substrate(), seed, 600);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpeculativeFuzzTest,

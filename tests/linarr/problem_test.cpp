@@ -50,19 +50,18 @@ TEST(LinArrProblemTest, RejectsTinyNetlist) {
 TEST(LinArrProblemTest, ProposeReturnsPerturbedCost) {
   const Netlist nl = paper_instance();
   util::Rng rng{4};
-  LinArrProblem problem{nl, Arrangement::random(15, rng),
-                        MoveKind::kPairwiseInterchange, Objective::kDensity,
-                        core::EvalPath::kApplyUndo};
+  LinArrProblem problem{nl, Arrangement::random(15, rng)};
   const double h_j = problem.propose(rng);
-  EXPECT_DOUBLE_EQ(h_j, problem.cost());  // apply-undo: pending is visible
-  problem.reject();
+  problem.accept();
+  EXPECT_DOUBLE_EQ(h_j, problem.cost());
+  // The returned cost is the committed arrangement's from-scratch density.
+  EXPECT_DOUBLE_EQ(h_j, density_of(nl, problem.arrangement()));
 }
 
 TEST(LinArrProblemTest, SpeculativeProposeLeavesCommittedCostVisible) {
   const Netlist nl = paper_instance();
   util::Rng rng{4};
   LinArrProblem problem{nl, Arrangement::random(15, rng)};
-  ASSERT_EQ(problem.eval_path(), core::EvalPath::kSpeculative);
   const double h_i = problem.cost();
   const double h_j = problem.propose(rng);
   // Speculative: nothing is committed until accept(), so cost() still

@@ -96,5 +96,25 @@ TEST(IoTest, RejectsSinglePinNetInFile) {
   EXPECT_THROW(from_string("mcnl 1\ncells 3\nnet 1\n"), std::runtime_error);
 }
 
+TEST(IoTest, RejectsCellCountAboveLimit) {
+  try {
+    (void)from_string("mcnl 1\ncells 4000000000\nnet 0 1\n");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("netlist parse error at line 2", 0), 0u) << what;
+    EXPECT_NE(what.find("cell count exceeds"), std::string::npos) << what;
+  }
+  // A negative count wraps to a huge unsigned value; same error.
+  EXPECT_THROW(from_string("mcnl 1\ncells -5\n"), std::runtime_error);
+  const std::string at_limit = std::to_string(kMaxNetlistCells);
+  EXPECT_EQ(from_string("mcnl 1\ncells " + at_limit + "\nnet 0 1\n")
+                .num_cells(),
+            kMaxNetlistCells);
+  const std::string over = std::to_string(kMaxNetlistCells + 1);
+  EXPECT_THROW(from_string("mcnl 1\ncells " + over + "\n"),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace mcopt::netlist
