@@ -1,6 +1,7 @@
 // Observability must be a pure observer: attaching a Recorder to any runner
 // cannot change a single bit of its results, and what it records must agree
 // with the counters the runners already report.
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -12,9 +13,15 @@
 #include "core/annealer.hpp"
 #include "core/figure1.hpp"
 #include "core/figure2.hpp"
+#include "core/gfunction.hpp"
 #include "core/tempering.hpp"
+#include "obs/event.hpp"
+#include "obs/histogram.hpp"
+#include "obs/metrics.hpp"
+#include "obs/observables.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "util/invariant.hpp"
 #include "support/spy_g.hpp"
 #include "support/toy_problem.hpp"
 
@@ -90,6 +97,81 @@ void expect_metrics_match(const obs::RunMetrics& metrics,
   EXPECT_EQ(uphill, traced.uphill_accepts);
 }
 
+// FNV-1a over every deterministic field of a run and its trace.  The
+// constants below were recorded once; a runner change that moves a single
+// cost, counter, best state or event fails them, so refactors of the chain
+// must reproduce the old runs exactly.  Wall-clock fields are left out.
+class Digest {
+ public:
+  Digest& operator<<(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((v >> (8 * byte)) & 0xffU)) * 1099511628211ULL;
+    }
+    return *this;
+  }
+  Digest& operator<<(double v) {
+    return *this << std::bit_cast<std::uint64_t>(v);
+  }
+  Digest& operator<<(obs::WideInt v) {
+    const auto bits = static_cast<unsigned __int128>(v);
+    return *this << static_cast<std::uint64_t>(bits)
+                 << static_cast<std::uint64_t>(bits >> 64);
+  }
+  Digest& operator<<(const obs::LogHistogram& h) {
+    *this << h.count() << h.sum();
+    for (std::size_t i = 0; i < obs::LogHistogram::kNumBuckets; ++i) {
+      *this << h.bucket(i);
+    }
+    return *this;
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+std::uint64_t digest(const RunResult& r,
+                     const std::vector<obs::Event>& events) {
+  Digest d;
+  d << r.initial_cost << r.final_cost << r.best_cost
+    << std::uint64_t{r.best_state.size()};
+  for (const std::uint32_t v : r.best_state) d << std::uint64_t{v};
+  d << r.proposals << r.accepts << r.uphill_accepts << r.descent_steps
+    << r.ticks << std::uint64_t{r.temperatures_visited}
+    << r.invariants.executed;
+  const obs::RunMetrics& m = r.metrics;
+  d << std::uint64_t{m.collected} << m.restarts << m.new_bests
+    << m.patience_resets << m.trace_events << m.invariant_checks
+    << m.uphill_delta_proposed << m.uphill_delta_accepted
+    << std::uint64_t{m.stages.size()};
+  for (const obs::StageMetrics& s : m.stages) {
+    d << s.proposals << s.accepts << s.uphill_accepts << s.rejects
+      << s.downhill_proposals << s.sideways_proposals << s.uphill_proposals
+      << s.new_bests << s.patience_fires << s.ticks;
+  }
+  d << std::uint64_t{m.observables.size()};
+  for (const obs::StageObservables& o : m.observables) {
+    d << o.samples << static_cast<std::uint64_t>(o.sum) << o.sum_sq
+      << o.windows << o.equilibrated_runs << o.first_equilibrated_sample
+      << o.temperature;
+    for (std::size_t lag = 0; lag < obs::StageObservables::kMaxLag; ++lag) {
+      d << o.lag_cross[lag] << o.lag_pairs[lag];
+    }
+  }
+  d << std::uint64_t{events.size()};
+  for (const obs::Event& e : events) {
+    d << static_cast<std::uint64_t>(e.kind)
+      << static_cast<std::uint64_t>(e.reason) << std::uint64_t{e.stage}
+      << e.tick << e.cost << e.best;
+  }
+  return d.value();
+}
+
+// Pins are per build flavour: invariant-checking builds also count checks.
+constexpr std::uint64_t pin(std::uint64_t plain, std::uint64_t checked) {
+  return util::kInvariantsEnabled ? checked : plain;
+}
+
 TEST(ObservabilityTest, Figure1TracedRunIsBitIdentical) {
   SpyG g{6, 0.35};
   Figure1Options plain;
@@ -112,6 +194,29 @@ TEST(ObservabilityTest, Figure1TracedRunIsBitIdentical) {
   expect_coherent_trace(sink.events(), traced);
   expect_metrics_match(traced.metrics, traced);
   EXPECT_FALSE(untraced.metrics.collected);
+  EXPECT_EQ(digest(traced, sink.events()),
+            pin(13040375600989869229ULL, 12166454198821347597ULL));
+
+  // The paper's g classes take the paths SpyG cannot: the §3 gate with
+  // patience transitions (g = 1) and a thermal schedule whose levels also
+  // end on [KIRK83] equilibrium accepts.
+  auto pinned = [](const GFunction& run_g, Figure1Options run_options) {
+    obs::VectorSink run_sink;
+    const obs::Recorder run_recorder{&run_sink};
+    run_options.recorder = &run_recorder;
+    ToyProblem p{kLandscape, 0};
+    util::Rng r{99};
+    const RunResult run = run_figure1(p, run_g, run_options, r);
+    return digest(run, run_sink.events());
+  };
+  Figure1Options gated = plain;
+  gated.gate_threshold = 3;
+  EXPECT_EQ(pinned(*make_g(GClass::kGOne), gated),
+            pin(12714515163460794361ULL, 17209743037874383737ULL));
+  Figure1Options thermal = plain;
+  thermal.equilibrium_accepts = 300;
+  EXPECT_EQ(pinned(*make_annealing_g({4.0, 2.0, 1.0}), thermal),
+            pin(4407305873572482953ULL, 5191167875465034249ULL));
 }
 
 TEST(ObservabilityTest, Figure1StageBeginsCoverEverySchedule) {
@@ -157,6 +262,8 @@ TEST(ObservabilityTest, Figure2TracedRunIsBitIdentical) {
   std::uint64_t ticks = 0;
   for (const obs::StageMetrics& s : traced.metrics.stages) ticks += s.ticks;
   EXPECT_EQ(ticks, traced.ticks);
+  EXPECT_EQ(digest(traced, sink.events()),
+            pin(11499617309228047052ULL, 15709936551319033312ULL));
 }
 
 TEST(ObservabilityTest, RandomDescentTracedRunIsBitIdentical) {
@@ -173,6 +280,8 @@ TEST(ObservabilityTest, RandomDescentTracedRunIsBitIdentical) {
   expect_same_results(untraced, traced);
   expect_coherent_trace(sink.events(), traced);
   expect_metrics_match(traced.metrics, traced);
+  EXPECT_EQ(digest(traced, sink.events()),
+            pin(7999358015527193939ULL, 7999358015527193939ULL));
 }
 
 TEST(ObservabilityTest, TemperingTracedRunIsBitIdentical) {
@@ -211,6 +320,10 @@ TEST(ObservabilityTest, TemperingTracedRunIsBitIdentical) {
   for (std::size_t r = 0; r < seen.size(); ++r) {
     EXPECT_TRUE(seen[r]) << "replica " << r << " emitted no events";
   }
+  Digest d;
+  d << digest(traced.aggregate, sink.events()) << traced.swap_attempts
+    << traced.swap_accepts;
+  EXPECT_EQ(d.value(), pin(15111808177895484689ULL, 7052990456081152811ULL));
 }
 
 TEST(ObservabilityTest, SampledTraceStillPreservesResults) {

@@ -100,7 +100,7 @@ _TABLE: dict[str, tuple[str, ...]] = {
     "nan": ("cmath",),
     "numeric_limits": ("limits",),
     "bit_width": ("bit",), "countl_zero": ("bit",), "countr_zero": ("bit",),
-    "popcount": ("bit",), "has_single_bit": ("bit",),
+    "popcount": ("bit",), "has_single_bit": ("bit",), "bit_cast": ("bit",),
     "exit": ("cstdlib",), "atexit": ("cstdlib",),
     "getenv": ("cstdlib",), "atof": ("cstdlib",), "atoi": ("cstdlib",),
     "atoll": ("cstdlib",), "strtoull": ("cstdlib",), "strtod": ("cstdlib",),
