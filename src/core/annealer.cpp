@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/chain.hpp"
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
 #include "core/schedule.hpp"
@@ -22,46 +23,18 @@ RunResult simulated_annealing(Problem& problem, const AnnealOptions& options,
 
 RunResult random_descent(Problem& problem, std::uint64_t budget,
                          util::Rng& rng, const obs::Recorder* recorder) {
-  RunResult result;
-  result.initial_cost = problem.cost();
-  result.best_cost = result.initial_cost;
-  problem.snapshot_into(result.best_state);
-  result.temperatures_visited = 1;
-
-  obs::Recorder rec = recorder != nullptr ? *recorder : obs::Recorder{};
-  rec.begin_run(&result.metrics, 1);
-  obs::ProfileScope profile_scope{rec, "random_descent"};
-  rec.stage_begin(0, 0, result.initial_cost, result.best_cost,
-                  obs::StageReason::kStart);
-
-  double h_i = result.initial_cost;
-  util::WorkBudget work{budget};
-  while (!work.exhausted()) {
-    const double h_j = problem.propose(rng);
-    work.charge();
-    ++result.proposals;
-    const double delta = h_j - h_i;
-    rec.proposal(0, work.spent(), h_j, result.best_cost, delta);
-    if (h_j < h_i) {
-      problem.accept();
-      ++result.accepts;
-      h_i = h_j;
-      rec.accept(0, work.spent(), h_j, result.best_cost, delta);
-      if (h_i < result.best_cost) {
-        result.best_cost = h_i;
-        problem.snapshot_into(result.best_state);
-        rec.new_best(0, work.spent(), result.best_cost);
-      }
+  Chain chain{problem, recorder, budget, "random_descent", nullptr};
+  double h_i = chain.result().initial_cost;
+  while (!chain.budget().exhausted()) {
+    const Move move = chain.propose(problem, rng, 0, h_i);
+    if (move.delta < 0.0) {
+      chain.commit(problem, 0, move);
+      h_i = move.cost;
     } else {
-      problem.reject();
-      rec.reject(0, work.spent(), h_j, result.best_cost);
+      chain.reject(problem, 0, move);
     }
   }
-  result.ticks = work.spent();
-  result.final_cost = problem.cost();
-  profile_scope.add_ticks(result.ticks);
-  rec.end_run();
-  return result;
+  return chain.finish(problem.cost());
 }
 
 }  // namespace mcopt::core

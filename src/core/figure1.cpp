@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/invariant.hpp"
+#include "core/chain.hpp"
 
 namespace mcopt::core {
 
@@ -12,43 +12,24 @@ RunResult run_figure1(Problem& problem, const GFunction& g,
     throw std::invalid_argument("figure1: gate_threshold must be >= 1");
   }
   const unsigned k = g.num_temperatures();
-  util::WorkBudget budget{options.budget};
-
-  RunResult result;
-  result.initial_cost = problem.cost();
-  result.best_cost = result.initial_cost;
-  problem.snapshot_into(result.best_state);
-  result.temperatures_visited = k == 0 ? 0 : 1;
-
-  // By-value copy: gives this run a private sampling counter, so the trace
-  // is a pure function of the seed regardless of which thread runs it.
-  // The recorder consumes no randomness and never touches `rng`.
-  obs::Recorder rec =
-      options.recorder != nullptr ? *options.recorder : obs::Recorder{};
-  rec.begin_run(&result.metrics, k);
-  // Declare each level's Boltzmann temperature (0 for non-thermal classes)
-  // so the observables layer can derive specific heat per stage.
-  for (unsigned t = 0; t < k; ++t) rec.stage_temperature(t, g.temperature(t));
-  obs::ProfileScope profile_scope{rec, "figure1"};
-  if (k > 0) {
-    rec.stage_begin(0, 0, result.initial_cost, result.best_cost,
-                    obs::StageReason::kStart);
-  }
+  Chain chain{problem, options.recorder, options.budget, "figure1", &g};
+  util::WorkBudget& budget = chain.budget();
+  obs::Recorder& rec = chain.recorder();
 
   unsigned temp = 0;
   std::uint64_t reject_counter = 0;  // Step 4's `counter`
   std::uint64_t accept_counter = 0;  // the [KIRK83] equilibrium counter
   unsigned gate_counter = 0;         // the §3 gate for g == 1 levels
-  double h_i = result.initial_cost;
+  double h_i = chain.result().initial_cost;
 
   auto advance_temperature = [&](obs::StageReason reason) -> bool {
     // Returns false when the schedule is exhausted (temp == k in the paper).
     if (temp + 1 >= k) return false;
     ++temp;
-    ++result.temperatures_visited;
+    ++chain.result().temperatures_visited;
     reject_counter = 0;
     accept_counter = 0;
-    rec.stage_begin(temp, budget.spent(), h_i, result.best_cost, reason);
+    rec.stage_begin(temp, budget.spent(), h_i, chain.best(), reason);
     return true;
   };
 
@@ -64,95 +45,47 @@ RunResult run_figure1(Problem& problem, const GFunction& g,
     if (schedule_exhausted) break;
 
     // Periodic deep verification (no pending perturbation at this point).
-    if constexpr (util::kInvariantsEnabled) {
-      if (options.invariant_check_interval != 0 &&
-          result.proposals % options.invariant_check_interval == 0) {
-        if (rec.collecting_metrics()) {
-          util::Stopwatch watch;
-          problem.check_invariants();
-          rec.invariant_check(watch.seconds());
-        } else {
-          problem.check_invariants();
-        }
-        ++result.invariants.executed;
-      }
+    if (chain.invariant_check_due(options.invariant_check_interval)) {
+      chain.check_invariants(problem);
     }
 
-    const double h_j = problem.propose(rng);
-    budget.charge();
-    ++result.proposals;
-    result.ticks = budget.spent();
-    const double delta = h_j - h_i;
-    rec.proposal(temp, result.ticks, h_j, result.best_cost, delta);
-
-    // [KIRK83] equilibrium: enough acceptances at this level.
-    auto note_accept = [&]() {
-      ++accept_counter;
-      if (options.equilibrium_accepts > 0 &&
-          accept_counter >= options.equilibrium_accepts &&
-          !advance_temperature(obs::StageReason::kEquilibrium)) {
-        schedule_exhausted = true;
-      }
-    };
-
-    if (delta < 0.0) {
+    const Move move = chain.propose(problem, rng, temp, h_i);
+    bool take = false;
+    if (move.delta < 0.0) {
       // Step 3: strict improvement.
-      problem.accept();
-      ++result.accepts;
-      if (reject_counter > 0) rec.patience_reset();
-      h_i = h_j;
+      take = true;
       gate_counter = 0;
-      reject_counter = 0;
-      rec.accept(temp, result.ticks, h_j, result.best_cost, delta);
-      if (h_i < result.best_cost) {
-        result.best_cost = h_i;
-        problem.snapshot_into(result.best_state);
-        rec.new_best(temp, result.ticks, result.best_cost);
-      }
-      note_accept();
-      continue;
-    }
-
-    // Step 4: uphill (or sideways) proposal.
-    if (options.equilibrium_rejects > 0 &&
-        reject_counter >= options.equilibrium_rejects) {
-      problem.reject();
-      rec.reject(temp, result.ticks, h_j, result.best_cost);
+    } else if (options.equilibrium_rejects > 0 &&
+               reject_counter >= options.equilibrium_rejects) {
+      // Step 4: the counter ran out; this level is done.
+      chain.reject(problem, temp, move);
       if (!advance_temperature(obs::StageReason::kPatience)) break;
       continue;
+    } else if (g.always_accepts(temp)) {
+      take = ++gate_counter >= options.gate_threshold;
+      if (take) gate_counter = 1;  // the paper resets to 1, not 0
+    } else {
+      take = rng.next_double() < g.probability(temp, h_i, move.cost);
     }
 
-    bool take = false;
-    if (g.always_accepts(temp)) {
-      ++gate_counter;
-      if (gate_counter >= options.gate_threshold) {
-        take = true;
-        gate_counter = 1;  // the paper resets to 1, not 0
-      }
-    } else {
-      take = rng.next_double() < g.probability(temp, h_i, h_j);
-    }
-
-    if (take) {
-      problem.accept();
-      ++result.accepts;
-      if (delta > 0.0) ++result.uphill_accepts;
-      h_i = h_j;
-      if (reject_counter > 0) rec.patience_reset();
-      reject_counter = 0;
-      rec.accept(temp, result.ticks, h_j, result.best_cost, delta);
-      note_accept();
-    } else {
-      problem.reject();
+    if (!take) {
       ++reject_counter;
-      rec.reject(temp, result.ticks, h_j, result.best_cost);
+      chain.reject(problem, temp, move);
+      continue;
+    }
+    if (reject_counter > 0) rec.patience_reset();
+    reject_counter = 0;
+    chain.commit(problem, temp, move);
+    h_i = move.cost;
+    // [KIRK83] equilibrium: enough acceptances at this level.
+    ++accept_counter;
+    if (options.equilibrium_accepts > 0 &&
+        accept_counter >= options.equilibrium_accepts &&
+        !advance_temperature(obs::StageReason::kEquilibrium)) {
+      schedule_exhausted = true;
     }
   }
-
-  result.final_cost = problem.cost();
-  profile_scope.add_ticks(result.ticks);
-  rec.end_run();
-  return result;
+  return chain.finish(problem.cost());
 }
 
 }  // namespace mcopt::core

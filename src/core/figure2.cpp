@@ -1,52 +1,27 @@
 #include "core/figure2.hpp"
 
-#include "util/invariant.hpp"
+#include "core/chain.hpp"
 
 namespace mcopt::core {
 
 RunResult run_figure2(Problem& problem, const GFunction& g,
                       const Figure2Options& options, util::Rng& rng) {
   const unsigned k = g.num_temperatures();
-  util::WorkBudget budget{options.budget};
-
-  RunResult result;
-  result.initial_cost = problem.cost();
-  result.best_cost = result.initial_cost;
-  problem.snapshot_into(result.best_state);
-  result.temperatures_visited = k == 0 ? 0 : 1;
-
-  // By-value copy: private sampling counter, seed-pure trace (figure1.cpp).
-  obs::Recorder rec =
-      options.recorder != nullptr ? *options.recorder : obs::Recorder{};
-  rec.begin_run(&result.metrics, k);
-  // Level temperatures for the observables layer (0 for non-thermal g).
-  for (unsigned t = 0; t < k; ++t) rec.stage_temperature(t, g.temperature(t));
-  obs::ProfileScope profile_scope{rec, "figure2"};
-  if (k > 0) {
-    rec.stage_begin(0, 0, result.initial_cost, result.best_cost,
-                    obs::StageReason::kStart);
-  }
+  Chain chain{problem, options.recorder, options.budget, "figure2", &g};
+  util::WorkBudget& budget = chain.budget();
+  obs::Recorder& rec = chain.recorder();
 
   unsigned temp = 0;
   std::uint64_t kick_counter = 0;
-  std::uint64_t next_invariant_check = 0;
 
   auto advance_temperature = [&](obs::StageReason reason) -> bool {
     if (temp + 1 >= k) return false;
     ++temp;
-    ++result.temperatures_visited;
+    ++chain.result().temperatures_visited;
     kick_counter = 0;
-    rec.stage_begin(temp, budget.spent(), problem.cost(), result.best_cost,
+    rec.stage_begin(temp, budget.spent(), problem.cost(), chain.best(),
                     reason);
     return true;
-  };
-
-  auto update_best = [&](double h, std::uint64_t tick) {
-    if (h < result.best_cost) {
-      result.best_cost = h;
-      problem.snapshot_into(result.best_state);
-      rec.new_best(temp, tick, result.best_cost);
-    }
   };
 
   bool done = false;
@@ -59,29 +34,17 @@ RunResult run_figure2(Problem& problem, const GFunction& g,
       descent_scope.add_ticks(budget.spent() - before);
     }
     const std::uint64_t descended = budget.spent() - before;
-    result.descent_steps += descended;
+    chain.result().descent_steps += descended;
     rec.descent_ticks(temp, descended);
     const double h_i = problem.cost();
 
     // Periodic deep verification (descend() leaves nothing pending).
-    if constexpr (util::kInvariantsEnabled) {
-      if (options.invariant_check_interval != 0 &&
-          budget.spent() >= next_invariant_check) {
-        if (rec.collecting_metrics()) {
-          util::Stopwatch watch;
-          problem.check_invariants();
-          rec.invariant_check(watch.seconds());
-        } else {
-          problem.check_invariants();
-        }
-        ++result.invariants.executed;
-        next_invariant_check =
-            budget.spent() + options.invariant_check_interval;
-      }
+    if (chain.invariant_check_due(options.invariant_check_interval)) {
+      chain.check_invariants(problem);
     }
 
     // Step 3.
-    update_best(h_i, budget.spent());
+    chain.improve(problem, temp, h_i);
 
     // Steps 4-5: kick until one is taken (then descend again) or the level
     // sequence / budget runs out.
@@ -102,32 +65,17 @@ RunResult run_figure2(Problem& problem, const GFunction& g,
       if (done) break;
 
       ++kick_counter;
-      const double h_j = problem.propose(rng);
-      budget.charge();
+      const Move move = chain.propose(problem, rng, temp, h_i);
       kick_scope.add_ticks(1);
-      ++result.proposals;
-      const double delta = h_j - h_i;
-      rec.proposal(temp, budget.spent(), h_j, result.best_cost, delta);
-
-      if (rng.next_double() < g.probability(temp, h_i, h_j)) {
-        problem.accept();
-        ++result.accepts;
-        if (h_j > h_i) ++result.uphill_accepts;
-        rec.accept(temp, budget.spent(), h_j, result.best_cost, delta);
-        update_best(h_j, budget.spent());
-        kicked = true;  // back to Step 2
+      kicked = rng.next_double() < g.probability(temp, h_i, move.cost);
+      if (kicked) {
+        chain.commit(problem, temp, move);  // back to Step 2
       } else {
-        problem.reject();
-        rec.reject(temp, budget.spent(), h_j, result.best_cost);
+        chain.reject(problem, temp, move);
       }
     }
   }
-
-  result.ticks = budget.spent();
-  result.final_cost = problem.cost();
-  profile_scope.add_ticks(result.ticks);
-  rec.end_run();
-  return result;
+  return chain.finish(problem.cost());
 }
 
 }  // namespace mcopt::core

@@ -1,13 +1,14 @@
 #include "core/tempering.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
 
+#include "core/chain.hpp"
 #include "core/schedule.hpp"
 #include "util/budget.hpp"
-#include "util/invariant.hpp"
 
 namespace mcopt::core {
 
@@ -33,68 +34,38 @@ TemperingResult parallel_tempering(
     h[r] = replicas[r]->cost();
   }
 
-  TemperingResult out;
-  out.aggregate.temperatures_visited = static_cast<unsigned>(num_replicas);
-  std::size_t best_replica = 0;
-  for (std::size_t r = 1; r < num_replicas; ++r) {
-    if (h[r] < h[best_replica]) best_replica = r;
-  }
-  out.aggregate.initial_cost = h[best_replica];
-  out.aggregate.best_cost = h[best_replica];
-  out.aggregate.best_state = replicas[best_replica]->snapshot();
-
+  const auto best_replica = static_cast<std::size_t>(
+      std::min_element(h.begin(), h.end()) - h.begin());
   // Replicas interleave on one thread, so events carry the replica index in
   // `stage` and per-stage wall time stays unsplit (see TemperingOptions).
-  obs::Recorder rec =
-      options.recorder != nullptr ? *options.recorder : obs::Recorder{};
-  rec.begin_run(&out.aggregate.metrics, num_replicas,
-                /*stage_walls=*/false);
-  obs::ProfileScope profile_scope{rec, "tempering"};
+  Chain chain{*replicas[best_replica], options.recorder, options.budget,
+              "tempering", num_replicas, /*stage_walls=*/false};
+  chain.result().temperatures_visited = static_cast<unsigned>(num_replicas);
+  obs::Recorder& rec = chain.recorder();
   for (std::size_t r = 0; r < num_replicas; ++r) {
     // Each replica IS a temperature level; declare Y_r for specific heat.
     rec.stage_temperature(static_cast<std::uint32_t>(r), ys[r]);
-    rec.stage_begin(static_cast<std::uint32_t>(r), 0, h[r],
-                    out.aggregate.best_cost, obs::StageReason::kStart);
+    rec.stage_begin(static_cast<std::uint32_t>(r), 0, h[r], chain.best(),
+                    obs::StageReason::kStart);
   }
 
-  util::WorkBudget budget{options.budget};
-
-  auto update_best = [&](std::size_t r) {
-    if (h[r] < out.aggregate.best_cost) {
-      out.aggregate.best_cost = h[r];
-      out.aggregate.best_state = replicas[r]->snapshot();
-      rec.new_best(static_cast<std::uint32_t>(r), budget.spent(),
-                   out.aggregate.best_cost);
-    }
-  };
+  util::WorkBudget& budget = chain.budget();
+  TemperingResult out;
   std::uint64_t cycles = 0;
-  std::uint64_t next_invariant_check = 0;
   while (!budget.exhausted()) {
     // One proposal per replica, hottest to coldest.
     {
       obs::ProfileScope sweep_scope{rec, "sweep"};
       for (std::size_t r = 0; r < num_replicas && !budget.exhausted(); ++r) {
-        const double h_j = replicas[r]->propose(rng);
-        budget.charge();
-        sweep_scope.add_ticks(1);
-        ++out.aggregate.proposals;
         const auto stage = static_cast<std::uint32_t>(r);
-        const double delta = h_j - h[r];
-        rec.proposal(stage, budget.spent(), h_j, out.aggregate.best_cost,
-                     delta);
-        const bool take =
-            delta <= 0.0 || rng.next_double() < std::exp(-delta / ys[r]);
-        if (take) {
-          replicas[r]->accept();
-          ++out.aggregate.accepts;
-          if (delta > 0.0) ++out.aggregate.uphill_accepts;
-          rec.accept(stage, budget.spent(), h_j, out.aggregate.best_cost,
-                     delta);
-          h[r] = h_j;
-          update_best(r);
+        const Move move = chain.propose(*replicas[r], rng, stage, h[r]);
+        sweep_scope.add_ticks(1);
+        if (move.delta <= 0.0 ||
+            rng.next_double() < std::exp(-move.delta / ys[r])) {
+          chain.commit(*replicas[r], stage, move);
+          h[r] = move.cost;
         } else {
-          replicas[r]->reject();
-          rec.reject(stage, budget.spent(), h_j, out.aggregate.best_cost);
+          chain.reject(*replicas[r], stage, move);
         }
       }
     }
@@ -103,22 +74,8 @@ TemperingResult parallel_tempering(
 
     // Periodic deep verification of every replica (between proposals, so
     // nothing is pending and no randomness is consumed).
-    if constexpr (util::kInvariantsEnabled) {
-      if (options.invariant_check_interval != 0 &&
-          budget.spent() >= next_invariant_check) {
-        for (const auto& replica : replicas) {
-          if (rec.collecting_metrics()) {
-            util::Stopwatch watch;
-            replica->check_invariants();
-            rec.invariant_check(watch.seconds());
-          } else {
-            replica->check_invariants();
-          }
-          ++out.aggregate.invariants.executed;
-        }
-        next_invariant_check =
-            budget.spent() + options.invariant_check_interval;
-      }
+    if (chain.invariant_check_due(options.invariant_check_interval)) {
+      for (const auto& replica : replicas) chain.check_invariants(*replica);
     }
 
     // Swap phase: adjacent pairs, alternating parity per phase so every
@@ -139,14 +96,7 @@ TemperingResult parallel_tempering(
     }
   }
 
-  std::size_t final_best = 0;
-  for (std::size_t r = 1; r < num_replicas; ++r) {
-    if (h[r] < h[final_best]) final_best = r;
-  }
-  out.aggregate.final_cost = h[final_best];
-  out.aggregate.ticks = budget.spent();
-  profile_scope.add_ticks(out.aggregate.ticks);
-  rec.end_run();
+  out.aggregate = chain.finish(*std::min_element(h.begin(), h.end()));
   return out;
 }
 
