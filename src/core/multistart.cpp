@@ -2,10 +2,40 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "util/invariant.hpp"
 
 namespace mcopt::core {
+
+void fold_restart(MultistartResult& out, RunResult run, obs::Recorder& rec) {
+  ++out.restarts;
+  out.restart_best_costs.push_back(run.best_cost);
+  RunResult& aggregate = out.aggregate;
+  if (out.restarts == 1) {
+    const util::InvariantStats checks = aggregate.invariants;
+    aggregate = std::move(run);
+    aggregate.invariants += checks;
+    // Aggregate-level confirmation of the incumbent after each restart
+    // folds (restart 0 always sets it).
+    rec.new_best(0, aggregate.ticks, aggregate.best_cost);
+    return;
+  }
+  aggregate.final_cost = run.final_cost;
+  aggregate.proposals += run.proposals;
+  aggregate.accepts += run.accepts;
+  aggregate.uphill_accepts += run.uphill_accepts;
+  aggregate.descent_steps += run.descent_steps;
+  aggregate.ticks += run.ticks;
+  aggregate.temperatures_visited += run.temperatures_visited;
+  aggregate.invariants += run.invariants;
+  aggregate.metrics.merge(run.metrics);
+  if (run.best_cost < aggregate.best_cost) {
+    aggregate.best_cost = run.best_cost;
+    aggregate.best_state = std::move(run.best_state);
+    rec.new_best(0, run.ticks, aggregate.best_cost);
+  }
+}
 
 MultistartResult multistart(Problem& problem, const Runner& runner,
                             const MultistartOptions& options,
@@ -31,59 +61,32 @@ MultistartResult multistart(Problem& problem, const Runner& runner,
 
   MultistartResult out;
   std::uint64_t spent = 0;
-  bool first = true;
   std::uint64_t index = 0;
   while (spent < options.total_budget) {
     const std::uint64_t slice =
         std::min(options.budget_per_start, options.total_budget - spent);
     util::Rng start_rng = util::Rng::split(master, index);
-    if (!first || options.randomize_first) problem.randomize(start_rng);
+    if (index > 0 || options.randomize_first) problem.randomize(start_rng);
 
     // Restart-scoped recorder, writing straight to the caller's sink (the
     // sequential loop IS index order); worker 0 = the calling thread.
     obs::Recorder restart_rec = root.for_restart(index, 0, nullptr);
     if (restart_rec.on()) restart_rec.restart_begin(problem.cost());
 
-    const RunResult run = runner(problem, slice, start_rng, restart_rec);
+    RunResult run = runner(problem, slice, start_rng, restart_rec);
     // Charge what the run actually consumed (an early-terminating runner
     // leaves budget for more restarts); the max(., 1) floor guarantees
     // progress against a runner that reports zero ticks.
     spent += std::max<std::uint64_t>(run.ticks, 1);
-    ++out.restarts;
     ++index;
-    out.restart_best_costs.push_back(run.best_cost);
 
     // Deep-verify the problem state between restarts; the per-run interval
-    // checks inside the runner are summed into the aggregate below.
+    // checks inside the runner are summed into the aggregate by the fold.
     if constexpr (util::kInvariantsEnabled) {
       problem.check_invariants();
       ++out.aggregate.invariants.executed;
     }
-
-    if (first) {
-      const util::InvariantStats checks = out.aggregate.invariants;
-      out.aggregate = run;
-      out.aggregate.invariants += checks;
-      first = false;
-      // Aggregate-level confirmation of the incumbent after each restart
-      // folds (restart 0 always sets it).
-      restart_rec.new_best(0, run.ticks, out.aggregate.best_cost);
-    } else {
-      out.aggregate.final_cost = run.final_cost;
-      out.aggregate.proposals += run.proposals;
-      out.aggregate.accepts += run.accepts;
-      out.aggregate.uphill_accepts += run.uphill_accepts;
-      out.aggregate.descent_steps += run.descent_steps;
-      out.aggregate.ticks += run.ticks;
-      out.aggregate.temperatures_visited += run.temperatures_visited;
-      out.aggregate.invariants += run.invariants;
-      out.aggregate.metrics.merge(run.metrics);
-      if (run.best_cost < out.aggregate.best_cost) {
-        out.aggregate.best_cost = run.best_cost;
-        out.aggregate.best_state = run.best_state;
-        restart_rec.new_best(0, run.ticks, out.aggregate.best_cost);
-      }
-    }
+    fold_restart(out, std::move(run), restart_rec);
   }
   if (out.aggregate.metrics.collected) {
     out.aggregate.metrics.restarts = out.restarts;

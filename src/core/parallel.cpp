@@ -202,7 +202,6 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
   MultistartResult out;
   Snapshot last_final_state = initial_state;
   std::uint64_t spent = 0;
-  bool first = true;
   std::uint64_t index = 0;
   std::vector<std::pair<std::uint64_t, StartResult>> batch;
   std::size_t batch_cursor = 0;
@@ -265,33 +264,10 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
     obs::Recorder fold_rec = root.for_restart(index, 0, nullptr);
 
     spent += std::max<std::uint64_t>(start.run.ticks, 1);
-    ++out.restarts;
-    out.restart_best_costs.push_back(start.run.best_cost);
     if constexpr (util::kInvariantsEnabled) {
       ++out.aggregate.invariants.executed;
     }
-    if (first) {
-      const util::InvariantStats checks = out.aggregate.invariants;
-      out.aggregate = start.run;
-      out.aggregate.invariants += checks;
-      first = false;
-      fold_rec.new_best(0, start.run.ticks, out.aggregate.best_cost);
-    } else {
-      out.aggregate.final_cost = start.run.final_cost;
-      out.aggregate.proposals += start.run.proposals;
-      out.aggregate.accepts += start.run.accepts;
-      out.aggregate.uphill_accepts += start.run.uphill_accepts;
-      out.aggregate.descent_steps += start.run.descent_steps;
-      out.aggregate.ticks += start.run.ticks;
-      out.aggregate.temperatures_visited += start.run.temperatures_visited;
-      out.aggregate.invariants += start.run.invariants;
-      out.aggregate.metrics.merge(start.run.metrics);
-      if (start.run.best_cost < out.aggregate.best_cost) {
-        out.aggregate.best_cost = start.run.best_cost;
-        out.aggregate.best_state = start.run.best_state;
-        fold_rec.new_best(0, start.run.ticks, out.aggregate.best_cost);
-      }
-    }
+    fold_restart(out, std::move(start.run), fold_rec);
     last_final_state = std::move(start.final_state);
     ++index;
 
