@@ -16,8 +16,9 @@
 #include "core/gfunction.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::reject_driver_args(argc, argv);
   bench::print_header(
       "Ablation B — g = 1 gate threshold under Figure 1 (§3)",
       "GOLA set; 12 s budget; thresholds 1 (random walk) .. 10^6 (descent)");

@@ -13,8 +13,9 @@
 #include "core/gfunction.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::reject_driver_args(argc, argv);
   bench::print_header(
       "Ablation D — pairwise interchange vs single exchange ([COHO83a])",
       "GOLA set; 12 s budget; move kind x strategy x start");

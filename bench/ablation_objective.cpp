@@ -16,8 +16,9 @@
 #include "linarr/problem.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::reject_driver_args(argc, argv);
   bench::print_header(
       "Ablation E — objective: density vs total span",
       "GOLA set; Figure 1; g = 1; 12 s budget; cross-evaluated results");

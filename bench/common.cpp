@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -110,6 +111,19 @@ std::vector<Method> tune_methods(
 namespace {
 
 std::uint64_t g_invariant_checks = 0;
+
+// Every file a driver writes goes through here: a report that did not land
+// fails the run (status 1, naming the path) instead of logging and
+// exiting 0.
+void write_or_exit(const std::string& path, const std::string& content) {
+  std::ofstream out{path};
+  out << content;
+  out.close();
+  if (!out) {
+    obs::log(obs::LogLevel::kError, "error: cannot write %s", path.c_str());
+    std::exit(1);
+  }
+}
 
 // Observability state installed by parse_driver_flags().  The recorder is
 // off by default, so drivers that never see an observability flag pay one
@@ -474,6 +488,13 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
   return parsed->threads;
 }
 
+void reject_driver_args(int argc, const char* const* argv) {
+  if (argc <= 1) return;
+  obs::log(obs::LogLevel::kError, "%s: unknown flag %s", argv[0], argv[1]);
+  obs::log(obs::LogLevel::kError, "usage: %s (takes no flags)", argv[0]);
+  std::exit(2);
+}
+
 const obs::Recorder* driver_recorder() { return &g_recorder; }
 
 obs::Heartbeat* driver_heartbeat() { return &g_heartbeat; }
@@ -490,27 +511,15 @@ void finish_driver_observability() {
              g_trace_path.c_str());
   }
   if (!g_metrics_path.empty()) {
-    std::ofstream out{g_metrics_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_metrics_path.c_str());
-    } else {
-      out << g_metrics_totals.to_json();
-      obs::log(obs::LogLevel::kInfo, "%s",
-               g_metrics_totals.summary().c_str());
-      obs::log(obs::LogLevel::kInfo, "metrics -> %s", g_metrics_path.c_str());
-    }
+    write_or_exit(g_metrics_path, g_metrics_totals.to_json());
+    obs::log(obs::LogLevel::kInfo, "%s", g_metrics_totals.summary().c_str());
+    obs::log(obs::LogLevel::kInfo, "metrics -> %s", g_metrics_path.c_str());
   }
   if (!g_profile_path.empty()) {
-    std::ofstream out{g_profile_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_profile_path.c_str());
-    } else {
-      out << "{\n  \"profile\": " << g_metrics_totals.profile.to_json()
-          << "\n}\n";
-      obs::log(obs::LogLevel::kInfo, "profile -> %s", g_profile_path.c_str());
-    }
+    write_or_exit(g_profile_path, "{\n  \"profile\": " +
+                                      g_metrics_totals.profile.to_json() +
+                                      "\n}\n");
+    obs::log(obs::LogLevel::kInfo, "profile -> %s", g_profile_path.c_str());
   }
   if (!g_timeline_path.empty()) {
     // The aggregate lane goes in last so it reflects every merged row;
@@ -520,29 +529,17 @@ void finish_driver_observability() {
       g_timeline.set_thread_name(0, 0, "all runs");
       g_timeline.add_tree(g_metrics_totals.profile, 0, 0);
     }
-    std::ofstream out{g_timeline_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_timeline_path.c_str());
-    } else {
-      out << g_timeline.to_json();
-      obs::log(obs::LogLevel::kInfo,
-               "timeline: %zu events -> %s (open in ui.perfetto.dev)",
-               g_timeline.num_events(), g_timeline_path.c_str());
-    }
+    write_or_exit(g_timeline_path, g_timeline.to_json());
+    obs::log(obs::LogLevel::kInfo,
+             "timeline: %zu events -> %s (open in ui.perfetto.dev)",
+             g_timeline.num_events(), g_timeline_path.c_str());
   }
   if (!g_prom_path.empty()) {
-    std::ofstream out{g_prom_path};
-    if (!out) {
-      obs::log(obs::LogLevel::kError, "warning: cannot write %s",
-               g_prom_path.c_str());
-    } else {
-      obs::MetricsRegistry registry;
-      registry.populate_from_run(g_metrics_totals);
-      out << registry.to_prometheus();
-      obs::log(obs::LogLevel::kInfo, "prometheus metrics (%zu series) -> %s",
-               registry.size(), g_prom_path.c_str());
-    }
+    obs::MetricsRegistry registry;
+    registry.populate_from_run(g_metrics_totals);
+    write_or_exit(g_prom_path, registry.to_prometheus());
+    obs::log(obs::LogLevel::kInfo, "prometheus metrics (%zu series) -> %s",
+             registry.size(), g_prom_path.c_str());
   }
   const obs::FlightRecorder& flight = obs::FlightRecorder::instance();
   if (flight.armed()) {
@@ -600,14 +597,11 @@ void maybe_write_csv(const std::string& experiment,
   const char* dir = std::getenv("MCOPT_BENCH_CSV_DIR");
   if (dir == nullptr || dir[0] == '\0') return;
   const std::string path = std::string{dir} + "/" + experiment + ".csv";
-  std::ofstream out{path};
-  if (!out) {
-    obs::log(obs::LogLevel::kError, "warning: cannot write %s", path.c_str());
-    return;
-  }
+  std::ostringstream out;
   util::CsvWriter csv{out};
   csv.row(table.headers());
   for (const auto& row : table.data()) csv.row(row);
+  write_or_exit(path, out.str());
   std::printf("(csv mirrored to %s)\n", path.c_str());
 }
 
@@ -616,12 +610,7 @@ void write_json_report(const std::string& name, const std::string& payload) {
   const std::string path =
       (dir != nullptr && dir[0] != '\0' ? std::string{dir} + "/" : std::string{}) +
       name + ".json";
-  std::ofstream out{path};
-  if (!out) {
-    obs::log(obs::LogLevel::kError, "warning: cannot write %s", path.c_str());
-    return;
-  }
-  out << payload;
+  write_or_exit(path, payload);
   std::printf("(json report written to %s)\n", path.c_str());
 }
 

@@ -175,6 +175,11 @@ std::optional<DriverOptions> parse_driver_options(int argc,
 /// Rejects unknown flags; exits with status 2 on a bad command line.
 unsigned parse_driver_flags(int argc, const char* const* argv);
 
+/// For drivers that honour no flag yet: exits with status 2 and
+/// "unknown flag <arg>" on any command-line argument, so a flag such as
+/// --threads is refused instead of silently ignored.
+void reject_driver_args(int argc, const char* const* argv);
+
 /// The process-wide recorder configured by parse_driver_flags(); off (and
 /// free) when no observability flag was given.  Never null.
 const obs::Recorder* driver_recorder();
@@ -191,7 +196,8 @@ void absorb_run_metrics(const obs::RunMetrics& metrics);
 
 /// Flushes the trace sink, writes the --metrics-out / --profile-out /
 /// --prom-out files, and logs a one-line telemetry summary.  Call once at
-/// the end of a driver's main; no-op when observability is off.
+/// the end of a driver's main; no-op when observability is off.  A file
+/// that cannot be written exits the process with status 1.
 void finish_driver_observability();
 
 /// Sum of the starting densities over the instance set for the given start
@@ -217,13 +223,15 @@ void print_invariant_summary();
 
 /// When MCOPT_BENCH_CSV_DIR is set, mirrors the table to
 /// <dir>/<experiment>.csv (header row + data rows) so plots can be
-/// regenerated outside the repo.  No-op otherwise.
+/// regenerated outside the repo.  No-op otherwise; exits with status 1,
+/// naming the path, when the file cannot be written.
 void maybe_write_csv(const std::string& experiment, const util::Table& table);
 
 /// Writes an already-serialized JSON document to <dir>/<name>.json, where
 /// <dir> is MCOPT_BENCH_JSON_DIR or the current directory.  Machine-readable
 /// bench output (BENCH_parallel.json etc.) flows through here so future PRs
-/// can diff perf trajectories.
+/// can diff perf trajectories.  Exits with status 1, naming the path, when
+/// the file cannot be written.
 void write_json_report(const std::string& name, const std::string& payload);
 
 }  // namespace mcopt::bench

@@ -20,8 +20,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcopt;
+  bench::reject_driver_args(argc, argv);
   bench::print_header(
       "Circuit partition comparison (§5 / [NAHA84]; schedule from [KIRK83])",
       "10 random graphs per size; balanced bipartition; cut size; Monte "

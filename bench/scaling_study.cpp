@@ -42,7 +42,8 @@ double run_class(const std::vector<netlist::Netlist>& instances,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_driver_args(argc, argv);
   bench::print_header(
       "Scaling study — conclusions beyond the paper's instance size",
       "10 instances per size; nets = 10 x cells; budget grows with size");

@@ -87,7 +87,8 @@ std::pair<double, std::uint64_t> stewart_standin(
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_driver_args(argc, argv);
   bench::print_header(
       "TSP comparison (paper §2 / [GOLD84] / [NAHA84])",
       "10 random Euclidean instances per size; equal tick budgets; SA uses "

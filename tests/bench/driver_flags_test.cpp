@@ -1,6 +1,7 @@
 // Shared bench-driver flag parsing (bench/common): the side-effect-free
 // parse_driver_options path, including the validation satellite — zero or
 // negative numeric flags must be rejected with an error naming the flag.
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "common.hpp"
 #include "obs/flight.hpp"
+#include "util/table.hpp"
 
 namespace mcopt::bench {
 namespace {
@@ -199,6 +201,29 @@ TEST(DriverFlagsTest, QuietAndVerboseConflict) {
   EXPECT_FALSE(parse({"--quiet", "--verbose"}, &error).has_value());
   EXPECT_NE(error.find("--quiet"), std::string::npos) << error;
   EXPECT_NE(error.find("--verbose"), std::string::npos) << error;
+}
+
+// A table that cannot be mirrored fails the run, naming the path, instead
+// of logging a warning and exiting 0.
+TEST(DriverFlagsDeathTest, UnwritableCsvDirExitsOne) {
+  util::Table table;
+  table.add_column("x");
+  table.begin_row();
+  table.cell(1);
+  EXPECT_EXIT(
+      {
+        setenv("MCOPT_BENCH_CSV_DIR", "/no/such/dir", 1);
+        maybe_write_csv("table", table);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(1), "cannot write /no/such/dir/table.csv");
+}
+
+TEST(DriverFlagsDeathTest, FlaglessDriverRejectsAnyArgument) {
+  const char* argv[] = {"driver", "--threads", "4"};
+  EXPECT_EXIT(reject_driver_args(3, argv), ::testing::ExitedWithCode(2),
+              "unknown flag --threads");
+  reject_driver_args(1, argv);  // no arguments: returns
 }
 
 }  // namespace
