@@ -34,9 +34,16 @@ namespace mcopt::bench {
 double bench_scale() {
   static const double scale = [] {
     const char* env = std::getenv("MCOPT_BENCH_SCALE");
-    if (env == nullptr) return 1.0;
-    const double v = std::atof(env);
-    return v >= 0.01 ? v : 1.0;
+    if (env == nullptr || env[0] == '\0') return 1.0;
+    char* end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (*end != '\0' || !std::isfinite(v) || v < 0.01) {
+      obs::log(obs::LogLevel::kError,
+               "error: MCOPT_BENCH_SCALE=%s: expected a finite number >= 0.01",
+               env);
+      std::exit(2);
+    }
+    return v;
   }();
   return scale;
 }
@@ -161,6 +168,50 @@ std::string observables_note(const obs::RunMetrics& metrics) {
   if (active == 0) return {};
   return "eq " + std::to_string(equilibrated) + "/" +
          std::to_string(active) + " stages";
+}
+
+// Numeric flags are validated by name so the error tells the user exactly
+// which value to fix.  `*value` holds the default and is left alone when the
+// flag is absent; a bare flag, a partial parse ("1x"), a value out of range
+// or, for reals, a non-finite one fills `*error` and returns false.
+std::string expects(const util::Args& args, const char* name,
+                    const char* what) {
+  return std::string{"--"} + name + " expects " + what + " (got '" +
+         args.value(name).value_or("") + "')";
+}
+
+bool positive_flag(const util::Args& args, const char* name,
+                   long long* value, std::string* error) {
+  if (!args.has(name)) return true;
+  long long parsed = 0;
+  try {
+    parsed = args.get_int(name, 0);
+  } catch (const std::invalid_argument&) {
+    // Unparseable: left out of range, rejected below.
+  }
+  if (parsed < 1) {
+    *error = expects(args, name, "an integer >= 1");
+    return false;
+  }
+  *value = parsed;
+  return true;
+}
+
+bool positive_flag(const util::Args& args, const char* name, double* value,
+                   std::string* error) {
+  if (!args.has(name)) return true;
+  double parsed = 0.0;
+  try {
+    parsed = args.get_double(name, 0.0);
+  } catch (const std::invalid_argument&) {
+    // Unparseable: left out of range, rejected below.
+  }
+  if (!std::isfinite(parsed) || parsed <= 0.0) {
+    *error = expects(args, name, "a finite number > 0");
+    return false;
+  }
+  *value = parsed;
+  return true;
 }
 
 }  // namespace
@@ -303,64 +354,31 @@ std::optional<DriverOptions> parse_driver_options(int argc,
   out.quiet = args.has("quiet");
   out.verbose = args.has("verbose");
 
-  // Each numeric flag is validated by name so the error tells the user
-  // exactly which value to fix.
-  auto positive_int = [&](const char* name, long long fallback,
-                          long long* value) {
-    try {
-      *value = args.get_int(name, fallback);
-    } catch (const std::invalid_argument&) {
-      *error = std::string{"--"} + name + " expects an integer (got '" +
-               args.value(name).value_or("") + "')";
-      return false;
-    }
-    if (*value < 1) {
-      *error = std::string{"--"} + name + " must be >= 1 (got " +
-               std::to_string(*value) + ")";
-      return false;
-    }
-    return true;
-  };
   long long threads = 1;
   long long sample = 1;
-  if (!positive_int("threads", 1, &threads)) return std::nullopt;
-  if (!positive_int("trace-sample", 1, &sample)) return std::nullopt;
+  if (!positive_flag(args, "threads", &threads, error) ||
+      !positive_flag(args, "trace-sample", &sample, error)) {
+    return std::nullopt;
+  }
   out.threads = static_cast<unsigned>(threads);
   out.trace_sample = static_cast<std::uint64_t>(sample);
 
+  // --progress and --flight-recorder may also be given bare, which selects
+  // their default.
   if (args.has("progress")) {
-    const std::string value = args.value("progress").value_or("");
-    if (value.empty()) {
-      out.progress_interval = 2.0;  // bare --progress
-    } else {
-      try {
-        out.progress_interval = args.get_double("progress", 2.0);
-      } catch (const std::invalid_argument&) {
-        *error = "--progress expects a number of seconds (got '" + value +
-                 "')";
-        return std::nullopt;
-      }
-      if (out.progress_interval <= 0.0) {
-        *error = "--progress interval must be > 0 (got " + value + ")";
-        return std::nullopt;
-      }
+    out.progress_interval = 2.0;
+    if (args.value("progress") &&
+        !positive_flag(args, "progress", &out.progress_interval, error)) {
+      return std::nullopt;
     }
   }
-
   if (args.has("flight-recorder")) {
-    const std::string value = args.value("flight-recorder").value_or("");
-    if (value.empty()) {
-      out.flight_capacity = obs::FlightRecorder::kDefaultCapacity;  // bare
-    } else {
-      long long cap = 0;
-      if (!positive_int("flight-recorder",
-                        static_cast<long long>(
-                            obs::FlightRecorder::kDefaultCapacity),
-                        &cap)) {
-        return std::nullopt;
-      }
-      out.flight_capacity = static_cast<std::size_t>(cap);
+    auto cap = static_cast<long long>(obs::FlightRecorder::kDefaultCapacity);
+    if (args.value("flight-recorder") &&
+        !positive_flag(args, "flight-recorder", &cap, error)) {
+      return std::nullopt;
     }
+    out.flight_capacity = static_cast<std::size_t>(cap);
   }
   out.flight_path = args.get("flight-out", out.flight_path);
   if (out.flight_capacity == 0 && args.has("flight-out")) {
@@ -486,6 +504,43 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
     }
   }
   return parsed->threads;
+}
+
+void parse_bench_flags(int argc, const char* const* argv,
+                       const std::vector<IntFlag>& ints,
+                       const std::vector<RealFlag>& reals) {
+  const util::Args args{argc, argv};
+  std::vector<std::string> known;
+  std::string usage;
+  for (const IntFlag& flag : ints) {
+    known.emplace_back(flag.name);
+    usage += std::string{" [--"} + flag.name + " N]";
+  }
+  for (const RealFlag& flag : reals) {
+    known.emplace_back(flag.name);
+    usage += std::string{" [--"} + flag.name + " X]";
+  }
+  std::string error;
+  const auto unknown = args.unknown_flags(known);
+  if (!unknown.empty()) {
+    error = "unknown flag --" + unknown.front();
+  } else if (!args.positional().empty()) {
+    error = "unexpected argument '" + args.positional().front() + "'";
+  } else {
+    bool ok = true;
+    for (const IntFlag& flag : ints) {
+      ok = ok && positive_flag(args, flag.name, flag.value, &error);
+    }
+    for (const RealFlag& flag : reals) {
+      ok = ok && positive_flag(args, flag.name, flag.value, &error);
+    }
+  }
+  if (error.empty()) return;
+  obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
+           error.c_str());
+  obs::log(obs::LogLevel::kError, "usage: %s%s", args.program().c_str(),
+           usage.c_str());
+  std::exit(2);
 }
 
 void reject_driver_args(int argc, const char* const* argv) {

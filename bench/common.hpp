@@ -48,7 +48,9 @@ inline constexpr std::uint64_t kTuneBudget = 500;
 /// Training-set size for the tuning pass (the paper used all 30).
 inline constexpr std::size_t kTuneInstances = 30;
 
-/// MCOPT_BENCH_SCALE (double >= 0.01); 1.0 when unset/invalid.
+/// MCOPT_BENCH_SCALE, a finite number >= 0.01; 1.0 when unset or empty.
+/// Any other value (`abc`, `0.001`, `0,1`, `0.1x`) exits with status 2,
+/// naming the variable and the value, instead of running at full scale.
 double bench_scale();
 
 /// Budget scaled by bench_scale(), minimum 1 tick.
@@ -174,6 +176,27 @@ std::optional<DriverOptions> parse_driver_options(int argc,
 /// recorder returned by driver_recorder() and sets the obs::log level.
 /// Rejects unknown flags; exits with status 2 on a bad command line.
 unsigned parse_driver_flags(int argc, const char* const* argv);
+
+/// A numeric flag of a bench with its own flag set: --name is read into
+/// *value, which holds the default and stays untouched when the flag is
+/// absent.
+struct IntFlag {
+  const char* name;
+  long long* value;
+};
+struct RealFlag {
+  const char* name;
+  double* value;
+};
+
+/// Parses the flags of a bench that takes its own numeric flags instead of
+/// the driver set (ladder, parallel_speedup).  Integers must be >= 1, reals
+/// finite and > 0.  Exits with status 2 and a usage line on an unknown
+/// flag, a positional argument, or a malformed value, naming the flag
+/// ("--budget expects an integer >= 1 (got 'abc')").
+void parse_bench_flags(int argc, const char* const* argv,
+                       const std::vector<IntFlag>& ints,
+                       const std::vector<RealFlag>& reals = {});
 
 /// For drivers that honour no flag yet: exits with status 2 and
 /// "unknown flag <arg>" on any command-line argument, so a flag such as

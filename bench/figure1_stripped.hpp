@@ -1,9 +1,8 @@
 // A hand-stripped copy of core::run_figure1 — the Figure 1 loop exactly as
 // it would look with no instrumentation compiled in at all.  This is the
-// timing baseline the observability overhead gates compare against
-// (bench/obs_overhead.cpp, bench/metrics_overhead.cpp); both drivers
-// assert it stays bit-identical in results to the real loop so the two
-// cannot drift apart silently.
+// timing baseline the recorder tiers of bench/ladder.cpp are priced
+// against; the ladder asserts it stays bit-identical in results to the real
+// loop so the two cannot drift apart silently.
 #pragma once
 
 #include <cstdint>

@@ -28,7 +28,6 @@
 #include "linarr/problem.hpp"
 #include "obs/log.hpp"
 #include "netlist/generator.hpp"
-#include "util/args.hpp"
 #include "util/budget.hpp"
 #include "util/table.hpp"
 
@@ -60,20 +59,10 @@ bool aggregates_match(const mcopt::core::MultistartResult& a,
 int main(int argc, char** argv) {
   using namespace mcopt;
 
-  const util::Args args{argc, argv};
-  const auto unknown = args.unknown_flags({"max-threads", "budget"});
-  if (!unknown.empty() || !args.positional().empty()) {
-    obs::log(obs::LogLevel::kError, "usage: %s [--max-threads N] [--budget T]",
-             args.program().c_str());
-    return 2;
-  }
-  const long long max_threads = args.get_int("max-threads", 8);
-  const long long budget_flag = args.get_int("budget", 400'000);
-  if (max_threads < 1 || budget_flag < 1) {
-    obs::log(obs::LogLevel::kError, "%s: flags must be positive",
-             args.program().c_str());
-    return 2;
-  }
+  long long max_threads = 8;
+  long long budget_flag = 400'000;
+  bench::parse_bench_flags(
+      argc, argv, {{"max-threads", &max_threads}, {"budget", &budget_flag}});
 
   bench::print_header(
       "Parallel multistart — threads x size throughput sweep",

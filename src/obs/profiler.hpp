@@ -14,8 +14,8 @@
 // path for free); the Recorder owns the open-scope stack.  ProfileScope is
 // the RAII handle: construction is a single predicted branch when
 // profiling is off, so scopes can stay compiled into the runners —
-// bench/metrics_overhead holds the off-path cost to the same <1% gate as
-// the rest of the instrumentation.
+// bench/ladder holds the off-path cost to the same gate as the rest of the
+// instrumentation.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +97,7 @@ struct ProfileTree {
 /// recorder.hpp includes this header): when profiling is off each reduces
 /// to one inlined predicted branch instead of an out-of-line call, which
 /// is what keeps MCOPT_PROFILE_SCOPE compiled into the runners within the
-/// bench/metrics_overhead gate.
+/// off-path gate of bench/ladder.
 class ProfileScope {
  public:
   inline ProfileScope(Recorder& recorder, const char* name);

@@ -8,8 +8,8 @@
 //
 // Zero-overhead-when-off: a default-constructed Recorder is *off*, and
 // every event method is an inlined `if (off_) return;` in front of an
-// out-of-line slow path.  bench/obs_overhead.cpp holds this to <1% against
-// a hand-stripped copy of the same loop.
+// out-of-line slow path.  bench/ladder.cpp prices this against a
+// hand-stripped copy of the same loop; the contract is <1%.
 //
 // Thread-safety: a Recorder is single-writer (its sampling counter and
 // metrics pointer are unsynchronized by design — each run owns its copy).
@@ -236,7 +236,7 @@ class Recorder {
 // ProfileScope's members live here, not in profiler.cpp: profiler.hpp is
 // included above before Recorder exists, and keeping these inline makes a
 // scope on an off/non-profiling recorder a single predicted branch with no
-// call — the property bench/metrics_overhead gates.
+// call — the property the off-path gate of bench/ladder checks.
 inline ProfileScope::ProfileScope(Recorder& recorder, const char* name)
     : recorder_(recorder.profile_enter(name) ? &recorder : nullptr) {}
 

@@ -124,10 +124,21 @@ TEST(DriverFlagsTest, RejectsZeroAndNegativeNumericFlags) {
 }
 
 TEST(DriverFlagsTest, RejectsNonNumericValues) {
-  std::string error;
-  EXPECT_FALSE(parse({"--trace-sample", "lots"}, &error).has_value());
-  EXPECT_NE(error.find("--trace-sample"), std::string::npos) << error;
-  EXPECT_NE(error.find("lots"), std::string::npos) << error;
+  const std::vector<std::vector<const char*>> bad_cases{
+      {"--trace-sample", "lots"},
+      {"--threads", "2x"},
+      {"--progress", "nan"},
+      {"--progress", "inf"},
+  };
+  for (const auto& flags : bad_cases) {
+    std::string error;
+    EXPECT_FALSE(parse(flags, &error).has_value())
+        << flags[0] << " " << flags[1];
+    EXPECT_NE(error.find(std::string{flags[0]} + " expects"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find(flags[1]), std::string::npos) << error;
+  }
 }
 
 TEST(DriverFlagsTest, RejectsUnknownFlagsAndPositionals) {
