@@ -14,11 +14,12 @@
 #include "common.hpp"
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
+#include "linarr/problem.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  bench::reject_driver_args(argc, argv);
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Ablation B — g = 1 gate threshold under Figure 1 (§3)",
       "GOLA set; 12 s budget; thresholds 1 (random walk) .. 10^6 (descent)");
@@ -27,33 +28,40 @@ int main(int argc, char** argv) {
   const auto g = core::make_g(core::GClass::kGOne);
   const std::vector<unsigned> thresholds{1, 2, 6, 18, 54, 162, 1'000'000};
 
+  // One job per (threshold, instance); every run has the same budget.
+  std::vector<double> reductions(thresholds.size() * instances.size(), 0.0);
+  std::vector<double> uphill(reductions.size(), 0.0);
+  bench::run_grid(
+      reductions.size(), threads, bench::driver_recorder(),
+      [&](bench::GridJob& job) {
+        const std::size_t i = job.index % instances.size();
+        const auto& nl = instances[i];
+        linarr::LinArrProblem problem{nl,
+                                      bench::random_start(i, nl.num_cells())};
+        const auto result = bench::figure1_chain(
+            job, problem, *g,
+            {.budget = bench::scaled(bench::kTwelveSec),
+             .gate_threshold = thresholds[job.index / instances.size()]},
+            29, i);
+        reductions[job.index] = result.reduction();
+        uphill[job.index] = static_cast<double>(result.uphill_accepts);
+      });
+  const auto totals = bench::group_sums(reductions, instances.size());
+  const auto uphill_totals = bench::group_sums(uphill, instances.size());
+
   util::Table table;
   table.add_column("gate threshold");
   table.add_column("total reduction");
   table.add_column("uphill accepts / instance");
-
-  for (const unsigned threshold : thresholds) {
-    double total = 0.0;
-    double uphill = 0.0;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      const auto& nl = instances[i];
-      linarr::LinArrProblem problem{nl,
-                                    bench::random_start(i, nl.num_cells())};
-      util::Rng rng{util::derive_seed(29, i)};
-      core::Figure1Options options;
-      options.budget = bench::scaled(bench::kTwelveSec);
-      options.gate_threshold = threshold;
-      const auto result = core::run_figure1(problem, *g, options, rng);
-      total += result.reduction();
-      uphill += static_cast<double>(result.uphill_accepts);
-    }
+  for (std::size_t t = 0; t < thresholds.size(); ++t) {
     table.begin_row();
-    table.cell(static_cast<long long>(threshold));
-    table.cell(static_cast<long long>(total));
-    table.cell(uphill / static_cast<double>(instances.size()), 0);
+    table.cell(static_cast<long long>(thresholds[t]));
+    table.cell(static_cast<long long>(totals[t]));
+    table.cell(uphill_totals[t] / static_cast<double>(instances.size()), 0);
   }
   table.print();
   bench::maybe_write_csv("ablation_gate", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape check: threshold 1 (the unguarded random walk) is the worst;\n"

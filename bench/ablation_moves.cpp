@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  bench::reject_driver_args(argc, argv);
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Ablation D — pairwise interchange vs single exchange ([COHO83a])",
       "GOLA set; 12 s budget; move kind x strategy x start");
@@ -37,11 +37,13 @@ int main(int argc, char** argv) {
     for (const auto move_kind : {linarr::MoveKind::kPairwiseInterchange,
                                  linarr::MoveKind::kSingleExchange}) {
       for (const bool figure2 : {false, true}) {
-        bench::TableRunConfig config;
-        config.budgets = {bench::scaled(bench::kTwelveSec)};
-        config.move_kind = move_kind;
-        config.figure2 = figure2;
-        config.move_seed = 41;
+        bench::TableRunConfig config{
+            .budgets = {bench::scaled(bench::kTwelveSec)},
+            .figure2 = figure2,
+            .move_kind = move_kind,
+            .move_seed = 41,
+            .num_threads = threads,
+            .recorder = bench::driver_recorder()};
         const double random_total =
             bench::run_method_row(method, instances, config)[0];
         config.start = bench::StartKind::kGoto;
@@ -61,6 +63,7 @@ int main(int argc, char** argv) {
   }
   table.print();
   bench::maybe_write_csv("ablation_moves", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape check ([COHO83a] via §4.2.2/§4.2.4): the Cohoon-Sahni g is\n"

@@ -9,6 +9,8 @@
 // dynamics: difference-based g classes do well there precisely because
 // they accept all sideways moves on the plateaus.)
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "common.hpp"
 #include "core/figure1.hpp"
@@ -18,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace mcopt;
-  bench::reject_driver_args(argc, argv);
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Ablation E — objective: density vs total span",
       "GOLA set; Figure 1; g = 1; 12 s budget; cross-evaluated results");
@@ -26,51 +28,57 @@ int main(int argc, char** argv) {
   const auto instances = bench::gola_instances();
   const auto g = core::make_g(core::GClass::kGOne);
 
+  // One job per (objective, instance), each cross-evaluated on both.
+  const std::vector<std::pair<linarr::Objective, const char*>> objectives{
+      {linarr::Objective::kDensity, "density (paper)"},
+      {linarr::Objective::kTotalSpan, "total span"}};
+  std::vector<double> densities(objectives.size() * instances.size(), 0.0);
+  std::vector<double> spans(densities.size(), 0.0);
+  bench::run_grid(
+      densities.size(), threads, bench::driver_recorder(),
+      [&](bench::GridJob& job) {
+        const std::size_t i = job.index % instances.size();
+        const auto& nl = instances[i];
+        linarr::LinArrProblem problem{
+            nl, bench::random_start(i, nl.num_cells()),
+            linarr::MoveKind::kPairwiseInterchange,
+            objectives[job.index / instances.size()].first};
+        problem.restore(bench::figure1_chain(
+                            job, problem, *g,
+                            {.budget = bench::scaled(bench::kTwelveSec)}, 43, i)
+                            .best_state);
+        densities[job.index] = problem.state().density();
+        spans[job.index] = problem.state().total_span();
+      });
+  const auto density_sums = bench::group_sums(densities, instances.size());
+  const auto span_sums = bench::group_sums(spans, instances.size());
+
   util::Table table;
   table.add_column("optimized objective", util::Table::Align::kLeft);
   table.add_column("final density (sum)");
   table.add_column("final span (sum)");
-
-  for (const auto objective :
-       {linarr::Objective::kDensity, linarr::Objective::kTotalSpan}) {
-    long long density_sum = 0;
-    long long span_sum = 0;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      const auto& nl = instances[i];
-      linarr::LinArrProblem problem{nl, bench::random_start(i, nl.num_cells()),
-                                    linarr::MoveKind::kPairwiseInterchange,
-                                    objective};
-      util::Rng rng{util::derive_seed(43, i)};
-      core::Figure1Options options;
-      options.budget = bench::scaled(bench::kTwelveSec);
-      const auto result = core::run_figure1(problem, *g, options, rng);
-      problem.restore(result.best_state);
-      density_sum += problem.state().density();
-      span_sum += problem.state().total_span();
-    }
+  for (std::size_t o = 0; o < objectives.size(); ++o) {
     table.begin_row();
-    table.cell(objective == linarr::Objective::kDensity ? "density (paper)"
-                                                        : "total span");
-    table.cell(density_sum);
-    table.cell(span_sum);
+    table.cell(objectives[o].second);
+    table.cell(static_cast<long long>(density_sums[o]));
+    table.cell(static_cast<long long>(span_sums[o]));
   }
 
   // Reference: the random starts themselves.
-  long long start_density = 0;
   long long start_span = 0;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const auto& nl = instances[i];
-    const linarr::DensityState state{nl,
-                                     bench::random_start(i, nl.num_cells())};
-    start_density += state.density();
-    start_span += state.total_span();
+    start_span += linarr::DensityState{nl, bench::random_start(
+                                               i, nl.num_cells())}
+                      .total_span();
   }
   table.begin_row();
   table.cell("(random starts)");
-  table.cell(start_density);
+  table.cell(bench::total_start_density(instances, bench::StartKind::kRandom));
   table.cell(start_span);
   table.print();
   bench::maybe_write_csv("ablation_objective", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape check: optimizing span drags density down as a side effect\n"

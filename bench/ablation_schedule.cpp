@@ -8,48 +8,19 @@
 // total budget (split into k equal slices, the paper's rule).
 #include <cstdint>
 #include <cstdio>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
-#include "core/parallel.hpp"
 #include "core/schedule.hpp"
 #include "core/tuner.hpp"
 #include "linarr/problem.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace mcopt;
-
-/// Total reduction over the instances, one job per instance on `threads`
-/// workers, summed in instance order (thread-count invariant).  These runs
-/// sit outside run_method_row, so the observability flags do not see them.
-double run_schedule(const std::vector<netlist::Netlist>& instances,
-                    const std::vector<double>& schedule, std::uint64_t budget,
-                    unsigned threads) {
-  const auto g = core::make_annealing_g(schedule);
-  std::vector<double> reductions(instances.size(), 0.0);
-  core::drain_indices(
-      instances.size(), threads, [&](std::size_t i, std::uint64_t) {
-        const auto& nl = instances[i];
-        linarr::LinArrProblem problem{nl,
-                                      bench::random_start(i, nl.num_cells())};
-        util::Rng rng{util::derive_seed(31, i)};
-        core::Figure1Options options;
-        options.budget = budget;
-        reductions[i] = core::run_figure1(problem, *g, options, rng).reduction();
-      });
-  double total = 0.0;
-  for (const double r : reductions) total += r;
-  return total;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mcopt;
   const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Ablation C — annealing schedule shape and length",
@@ -65,29 +36,45 @@ int main(int argc, char** argv) {
   const std::uint64_t budget = bench::scaled(bench::kTwelveSec);
   std::printf("tuned starting temperature Y1 = %.3f\n\n", y1);
 
+  const std::vector<std::pair<const char*, std::vector<double>>> schedules{
+      {"single temperature (Metropolis)", {y1}},
+      {"geometric x0.9", core::geometric_schedule(y1, 0.9, 2)},
+      {"geometric x0.9 [KIRK83]", core::geometric_schedule(y1, 0.9, 6)},
+      {"geometric x0.9", core::geometric_schedule(y1, 0.9, 12)},
+      {"geometric x0.9", core::geometric_schedule(y1, 0.9, 25)},
+      {"geometric x0.6 (fast quench)", core::geometric_schedule(y1, 0.6, 6)},
+      {"uniform [GOLD84]", core::uniform_schedule(y1, 6)},
+      {"uniform [GOLD84]", core::uniform_schedule(y1, 25)}};
+  // One job per (schedule, instance); every run has the same budget.
+  std::vector<double> reductions(schedules.size() * instances.size(), 0.0);
+  bench::run_grid(
+      reductions.size(), threads, bench::driver_recorder(),
+      [&](bench::GridJob& job) {
+        const std::size_t i = job.index % instances.size();
+        const auto& nl = instances[i];
+        linarr::LinArrProblem problem{nl,
+                                      bench::random_start(i, nl.num_cells())};
+        const auto g = core::make_annealing_g(
+            schedules[job.index / instances.size()].second);
+        reductions[job.index] =
+            bench::figure1_chain(job, problem, *g, {.budget = budget}, 31, i)
+                .reduction();
+      });
+  const auto totals = bench::group_sums(reductions, instances.size());
+
   util::Table table;
   table.add_column("schedule", util::Table::Align::kLeft);
   table.add_column("k");
   table.add_column("total reduction");
-
-  auto row = [&](const std::string& name, const std::vector<double>& ys) {
+  for (std::size_t r = 0; r < schedules.size(); ++r) {
     table.begin_row();
-    table.cell(name);
-    table.cell(static_cast<long long>(ys.size()));
-    table.cell(
-        static_cast<long long>(run_schedule(instances, ys, budget, threads)));
-  };
-
-  row("single temperature (Metropolis)", {y1});
-  row("geometric x0.9", core::geometric_schedule(y1, 0.9, 2));
-  row("geometric x0.9 [KIRK83]", core::geometric_schedule(y1, 0.9, 6));
-  row("geometric x0.9", core::geometric_schedule(y1, 0.9, 12));
-  row("geometric x0.9", core::geometric_schedule(y1, 0.9, 25));
-  row("geometric x0.6 (fast quench)", core::geometric_schedule(y1, 0.6, 6));
-  row("uniform [GOLD84]", core::uniform_schedule(y1, 6));
-  row("uniform [GOLD84]", core::uniform_schedule(y1, 25));
+    table.cell(schedules[r].first);
+    table.cell(static_cast<long long>(schedules[r].second.size()));
+    table.cell(static_cast<long long>(totals[r]));
+  }
   table.print();
   bench::maybe_write_csv("ablation_schedule", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape check: once the starting temperature is tuned, the schedule's\n"

@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
       /*goto_start=*/false, 80.0, 2.0, threads);
 
   const std::vector<double> multipliers{0.1, 0.5, 1.0, 2.0, 10.0};
-  bench::TableRunConfig config;
-  config.budgets = {bench::scaled(bench::kTwelveSec)};
-  config.move_seed = 23;
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
+  const bench::TableRunConfig config{
+      .budgets = {bench::scaled(bench::kTwelveSec)},
+      .move_seed = 23,
+      .num_threads = threads,
+      .recorder = bench::driver_recorder()};
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "util/args.hpp"
@@ -53,6 +54,10 @@ std::uint64_t scaled(std::uint64_t budget) {
   return v < 1.0 ? 1 : static_cast<std::uint64_t>(v);
 }
 
+std::vector<std::uint64_t> paper_budgets() {
+  return {scaled(kSixSec), scaled(kNineSec), scaled(kTwelveSec)};
+}
+
 std::vector<netlist::Netlist> gola_instances() {
   return netlist::gola_test_set(30, netlist::GolaParams{15, 150}, kSeed);
 }
@@ -65,14 +70,6 @@ std::vector<netlist::Netlist> nola_instances() {
 linarr::Arrangement random_start(std::size_t instance, std::size_t n) {
   util::Rng rng{util::derive_seed(kSeed + 1, instance)};
   return linarr::Arrangement::random(n, rng);
-}
-
-std::unique_ptr<core::GFunction> make_method_g(const Method& method,
-                                               const netlist::Netlist& nl) {
-  core::GParams params;
-  params.scale = method.scale;
-  params.num_nets = nl.num_nets();
-  return core::make_g(method.cls, params);
 }
 
 unsigned hardware_threads() {
@@ -180,34 +177,24 @@ std::string expects(const util::Args& args, const char* name,
          args.value(name).value_or("") + "')";
 }
 
-bool positive_flag(const util::Args& args, const char* name,
-                   long long* value, std::string* error) {
-  if (!args.has(name)) return true;
-  long long parsed = 0;
-  try {
-    parsed = args.get_int(name, 0);
-  } catch (const std::invalid_argument&) {
-    // Unparseable: left out of range, rejected below.
-  }
-  if (parsed < 1) {
-    *error = expects(args, name, "an integer >= 1");
-    return false;
-  }
-  *value = parsed;
-  return true;
-}
-
-bool positive_flag(const util::Args& args, const char* name, double* value,
+template <class T>
+bool positive_flag(const util::Args& args, const char* name, T* value,
                    std::string* error) {
   if (!args.has(name)) return true;
-  double parsed = 0.0;
+  T parsed = 0;
   try {
-    parsed = args.get_double(name, 0.0);
+    if constexpr (std::is_integral<T>::value) {
+      parsed = args.get_int(name, 0);
+    } else {
+      parsed = args.get_double(name, 0.0);
+    }
   } catch (const std::invalid_argument&) {
     // Unparseable: left out of range, rejected below.
   }
-  if (!std::isfinite(parsed) || parsed <= 0.0) {
-    *error = expects(args, name, "a finite number > 0");
+  if (!std::isfinite(static_cast<double>(parsed)) || parsed <= 0) {
+    *error = expects(args, name,
+                     std::is_integral<T>::value ? "an integer >= 1"
+                                           : "a finite number > 0");
     return false;
   }
   *value = parsed;
@@ -216,8 +203,6 @@ bool positive_flag(const util::Args& args, const char* name, double* value,
 
 }  // namespace
 
-std::uint64_t invariant_checks_executed() { return g_invariant_checks; }
-
 void print_invariant_summary() {
   if constexpr (util::kInvariantsEnabled) {
     std::printf("\ninvariant checks executed: %llu\n",
@@ -225,108 +210,136 @@ void print_invariant_summary() {
   }
 }
 
-std::vector<double> run_method_row(
-    const Method& method, const std::vector<netlist::Netlist>& instances,
-    const TableRunConfig& config) {
-  // Every (budget, instance) cell is an independent job with its own derived
-  // RNG stream, so the grid can run on any number of threads; the index-
-  // ordered reduction below keeps the row bit-identical regardless.
-  const std::size_t num_jobs = config.budgets.size() * instances.size();
-  std::vector<double> reductions(num_jobs, 0.0);
-  std::vector<std::uint64_t> checks(num_jobs, 0);
+void GridJob::record(const core::RunResult& result) {
+  metrics.merge(result.metrics);
+  invariant_checks += result.invariants.executed;
+}
 
-  // One run id per row; each job is a restart-scoped shard within it, so
-  // (run, restart) identifies (row, budget x instance cell) in the trace.
-  const obs::Recorder root = config.recorder != nullptr
-                                 ? config.recorder->with_run(g_run_counter++)
+obs::RunMetrics run_grid(std::size_t num_jobs, unsigned num_threads,
+                         const obs::Recorder* recorder,
+                         const std::function<void(GridJob&)>& job) {
+  // One run id per grid; each job is a restart-scoped shard within it, so
+  // (run, restart) identifies (grid, job) in the trace.
+  const obs::Recorder root = recorder != nullptr
+                                 ? recorder->with_run(g_run_counter++)
                                  : obs::Recorder{};
-  std::vector<obs::RunMetrics> job_metrics(num_jobs);
+  std::vector<GridJob> jobs(num_jobs);
   std::vector<std::vector<obs::Event>> job_events(num_jobs);
-  // Worker that executed each job, for the per-worker timeline lanes.
-  std::vector<std::uint64_t> job_worker(num_jobs, 0);
-  // Progress counter for the heartbeat only: rows are reduced from the
-  // per-job vectors in index order, so this never touches determinism.
+  // Progress counter for the heartbeat only: jobs are reduced in index
+  // order below, so this never touches determinism.
   std::atomic<std::size_t> jobs_done{0};  // mcopt-lint: allow(raw-atomic)
 
-  auto run_job = [&](std::size_t job, std::uint64_t worker) {
-    const std::size_t b = job / instances.size();
-    const std::size_t i = job % instances.size();
-    const auto& nl = instances[i];
-    auto start = config.start == StartKind::kGoto
-                     ? linarr::goto_arrangement(nl)
-                     : random_start(i, nl.num_cells());
-    linarr::LinArrProblem problem{nl, std::move(start), config.move_kind};
-    const auto g = make_method_g(method, nl);
-    util::Rng rng{util::derive_seed(config.move_seed, i)};
-    obs::VectorSink shard;
-    obs::Recorder rec =
-        root.for_restart(job, worker, root.tracing() ? &shard : nullptr);
-    if (rec.on()) rec.restart_begin(problem.cost());
-    core::RunResult result;
-    if (config.figure2) {
-      core::Figure2Options fig2;
-      fig2.budget = config.budgets[b];
-      fig2.recorder = &rec;
-      result = core::run_figure2(problem, *g, fig2, rng);
-    } else {
-      core::Figure1Options fig1;
-      fig1.budget = config.budgets[b];
-      fig1.recorder = &rec;
-      result = core::run_figure1(problem, *g, fig1, rng);
-    }
-    reductions[job] = result.reduction();
-    checks[job] = result.invariants.executed;
-    if (result.metrics.collected) result.metrics.restarts = 1;
-    job_metrics[job] = std::move(result.metrics);
-    job_events[job] = shard.take();
-    job_worker[job] = worker;
-    // The final tick is emitted after the reduction below so it can carry
-    // the row's observables digest; in-flight ticks stay here.
-    const std::size_t done = jobs_done.fetch_add(1) + 1;
-    if (done < num_jobs) g_heartbeat.tick(done, num_jobs, std::nan(""));
-  };
+  // Claiming in reverse index order starts the jobs declared last — the
+  // longest, by the declaration contract — first and keeps them off the
+  // grid's tail.
+  core::drain_indices(
+      num_jobs, std::max(1U, num_threads),
+      [&](std::size_t claim, std::uint64_t worker) {
+        const std::size_t index = num_jobs - 1 - claim;
+        GridJob& slot = jobs[index];
+        obs::VectorSink shard;
+        slot.index = index;
+        slot.worker = worker;
+        slot.recorder =
+            root.for_restart(index, worker, root.tracing() ? &shard : nullptr);
+        job(slot);
+        if (slot.metrics.collected) slot.metrics.restarts = 1;
+        job_events[index] = shard.take();
+        // The final tick is emitted after the reduction below so it can
+        // carry the grid's observables digest; in-flight ticks stay here.
+        const std::size_t done = jobs_done.fetch_add(1) + 1;
+        if (done < num_jobs) g_heartbeat.tick(done, num_jobs, std::nan(""));
+      });
 
-  // Jobs are numbered budget-major and every driver lists its budgets in
-  // ascending order, so claiming them in reverse index order starts the
-  // longest runs first and keeps them off the row's tail.
-  core::drain_indices(num_jobs, std::max(1U, config.num_threads),
-                      [&](std::size_t claim, std::uint64_t worker) {
-                        run_job(num_jobs - 1 - claim, worker);
-                      });
-
-  std::vector<double> totals(config.budgets.size(), 0.0);
   obs::TraceSink* sink = root.sink();
-  // Row-local metrics accumulator: merge() is associative (a tested
-  // invariant), so folding jobs -> row -> driver totals equals the direct
-  // fold, and the row aggregate feeds the heartbeat digest below.
-  obs::RunMetrics row_metrics;
-  for (std::size_t job = 0; job < num_jobs; ++job) {
-    totals[job / instances.size()] += reductions[job];
-    g_invariant_checks += checks[job];
+  // Grid-local accumulator: merge() is associative (a tested invariant), so
+  // folding jobs -> grid -> driver totals equals the direct fold, and the
+  // grid aggregate feeds the heartbeat digest below.
+  obs::RunMetrics grid_metrics;
+  for (std::size_t index = 0; index < num_jobs; ++index) {
+    const GridJob& done = jobs[index];
+    g_invariant_checks += done.invariant_checks;
     // Job order is the single-thread execution order, so the drained trace
     // and merged metrics are thread-count invariant (worker stamps aside).
     if (sink != nullptr) {
-      for (const obs::Event& event : job_events[job]) sink->write(event);
+      for (const obs::Event& event : job_events[index]) sink->write(event);
     }
-    row_metrics.merge(job_metrics[job]);
+    grid_metrics.merge(done.metrics);
     // Per-worker timeline lanes: each job's own profile tree lands on the
-    // lane of the worker that ran it.  The jobs are drained in index
-    // order here, so the lane contents are append-ordered by job index —
-    // the same order the trace and metrics merges use.
-    if (!g_timeline_path.empty() && !job_metrics[job].profile.empty()) {
-      const auto tid = static_cast<std::uint32_t>(job_worker[job]);
+    // lane of the worker that ran it, appended in job-index order — the
+    // same order the trace and metrics merges use.
+    if (!g_timeline_path.empty() && !done.metrics.profile.empty()) {
+      const auto tid = static_cast<std::uint32_t>(done.worker);
       g_timeline.set_process_name(1, "workers");
       g_timeline.set_thread_name(
           1, tid, tid == 0 ? "caller thread" : "worker " + std::to_string(tid));
-      g_timeline.add_tree(job_metrics[job].profile, 1, tid);
+      g_timeline.add_tree(done.metrics.profile, 1, tid);
     }
   }
-  g_metrics_totals.merge(row_metrics);
+  g_metrics_totals.merge(grid_metrics);
   if (num_jobs > 0) {
     g_heartbeat.tick(num_jobs, num_jobs, std::nan(""),
-                     observables_note(row_metrics));
+                     observables_note(grid_metrics));
   }
-  return totals;
+  return grid_metrics;
+}
+
+core::RunResult figure1_chain(GridJob& job, core::Problem& problem,
+                              const core::GFunction& g,
+                              core::Figure1Options options,
+                              std::uint64_t stream, std::size_t i) {
+  util::Rng rng{util::derive_seed(stream, i)};
+  job.recorder.restart_begin(problem.cost());
+  options.recorder = &job.recorder;
+  auto result = core::run_figure1(problem, g, options, rng);
+  job.record(result);
+  return result;
+}
+
+std::vector<double> group_sums(const std::vector<double>& values,
+                               std::size_t group) {
+  std::vector<double> sums(values.size() / group, 0.0);
+  for (std::size_t j = 0; j < values.size(); ++j) sums[j / group] += values[j];
+  return sums;
+}
+
+std::vector<double> run_method_row(
+    const Method& method, const std::vector<netlist::Netlist>& instances,
+    const TableRunConfig& config) {
+  // Every (budget, instance) cell is a job with its own derived RNG stream.
+  // Jobs are numbered budget-major and every driver lists its budgets in
+  // ascending order, so the longest runs are claimed first.
+  std::vector<double> reductions(config.budgets.size() * instances.size());
+  run_grid(reductions.size(), config.num_threads, config.recorder,
+           [&](GridJob& job) {
+             const std::size_t b = job.index / instances.size();
+             const std::size_t i = job.index % instances.size();
+             const auto& nl = instances[i];
+             auto start = config.start == StartKind::kGoto
+                              ? linarr::goto_arrangement(nl)
+                              : random_start(i, nl.num_cells());
+             linarr::LinArrProblem problem{nl, std::move(start),
+                                           config.move_kind};
+             // Cohoon-Sahni needs the instance's net count.
+             const auto g = core::make_g(
+                 method.cls,
+                 {.scale = method.scale, .num_nets = nl.num_nets()});
+             util::Rng rng{util::derive_seed(config.move_seed, i)};
+             job.recorder.restart_begin(problem.cost());
+             const auto result =
+                 config.figure2
+                     ? core::run_figure2(problem, *g,
+                                         {.budget = config.budgets[b],
+                                          .recorder = &job.recorder},
+                                         rng)
+                     : core::run_figure1(problem, *g,
+                                         {.budget = config.budgets[b],
+                                          .recorder = &job.recorder},
+                                         rng);
+             reductions[job.index] = result.reduction();
+             job.record(result);
+           });
+  return group_sums(reductions, instances.size());
 }
 
 std::optional<DriverOptions> parse_driver_options(int argc,
@@ -543,20 +556,7 @@ void parse_bench_flags(int argc, const char* const* argv,
   std::exit(2);
 }
 
-void reject_driver_args(int argc, const char* const* argv) {
-  if (argc <= 1) return;
-  obs::log(obs::LogLevel::kError, "%s: unknown flag %s", argv[0], argv[1]);
-  obs::log(obs::LogLevel::kError, "usage: %s (takes no flags)", argv[0]);
-  std::exit(2);
-}
-
 const obs::Recorder* driver_recorder() { return &g_recorder; }
-
-obs::Heartbeat* driver_heartbeat() { return &g_heartbeat; }
-
-void absorb_run_metrics(const obs::RunMetrics& metrics) {
-  g_metrics_totals.merge(metrics);
-}
 
 void finish_driver_observability() {
   if (g_trace_sink != nullptr) {
@@ -578,7 +578,7 @@ void finish_driver_observability() {
   }
   if (!g_timeline_path.empty()) {
     // The aggregate lane goes in last so it reflects every merged row;
-    // worker lanes were appended during run_method_row in job-index order.
+    // worker lanes were appended by run_grid in job-index order.
     if (!g_metrics_totals.profile.empty()) {
       g_timeline.set_process_name(0, "mcopt aggregate profile");
       g_timeline.set_thread_name(0, 0, "all runs");
@@ -634,6 +634,17 @@ long long goto_total_reduction(
     const std::vector<netlist::Netlist>& instances) {
   return total_start_density(instances, StartKind::kRandom) -
          total_start_density(instances, StartKind::kGoto);
+}
+
+std::string paper_cell(const PaperRows& paper, const std::string& row,
+                       const std::string& missing) {
+  const auto it = paper.find(row);
+  if (it == paper.end()) return missing;
+  std::string out;
+  for (const int entry : it->second) {
+    out += (out.empty() ? "" : " / ") + std::to_string(entry);
+  }
+  return out;
 }
 
 void print_header(const std::string& title, const std::string& protocol) {

@@ -43,11 +43,10 @@ int main(int argc, char** argv) {
     table.add_column(std::to_string(b));
   }
 
-  bench::TableRunConfig config;
-  config.budgets = checkpoints;
-  config.move_seed = 37;
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
+  const bench::TableRunConfig config{.budgets = checkpoints,
+                                     .move_seed = 37,
+                                     .num_threads = threads,
+                                     .recorder = bench::driver_recorder()};
 
   const long long goto_reduction = bench::goto_total_reduction(instances);
   table.begin_row();

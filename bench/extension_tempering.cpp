@@ -16,7 +16,6 @@
 #include "core/schedule.hpp"
 #include "core/tempering.hpp"
 #include "linarr/problem.hpp"
-#include "obs/recorder.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -43,58 +42,52 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> budgets{
       bench::scaled(bench::kSixSec), bench::scaled(bench::kTwelveSec),
       bench::scaled(2 * bench::kTwelveSec)};
-
+  const bench::TableRunConfig config{.budgets = budgets,
+                                     .move_seed = 47,
+                                     .num_threads = threads,
+                                     .recorder = bench::driver_recorder()};
   for (const auto& method : methods) {
-    bench::TableRunConfig config;
-    config.budgets = budgets;
-    config.move_seed = 47;
-    config.num_threads = threads;
-    config.recorder = bench::driver_recorder();
     const auto totals = bench::run_method_row(method, instances, config);
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
   }
 
+  // One tempering job per (budget, instance), budget-major so the longest
+  // runs are claimed first.
+  std::vector<double> reductions(budgets.size() * instances.size(), 0.0);
+  bench::run_grid(
+      reductions.size(), threads, bench::driver_recorder(),
+      [&](bench::GridJob& job) {
+        const std::size_t i = job.index % instances.size();
+        const auto& nl = instances[i];
+        auto factory = [&](std::size_t replica) {
+          // Replica 0 starts from the shared experiment start; the others
+          // from derived random arrangements.
+          util::Rng start_rng{util::derive_seed(bench::kSeed + 70,
+                                                100 * i + replica)};
+          auto start = replica == 0
+                           ? bench::random_start(i, nl.num_cells())
+                           : linarr::Arrangement::random(nl.num_cells(),
+                                                         start_rng);
+          return std::unique_ptr<core::Problem>(
+              new linarr::LinArrProblem(nl, std::move(start)));
+        };
+        util::Rng rng{util::derive_seed(48, i)};
+        const auto result = core::parallel_tempering(
+            factory,
+            {.temperatures = core::geometric_schedule(y1, 0.5, 4),
+             .budget = budgets[job.index / instances.size()],
+             .sweep = 25,
+             .recorder = &job.recorder},
+            rng);
+        reductions[job.index] = result.aggregate.reduction();
+        job.record(result.aggregate);
+      });
   table.begin_row();
   table.cell("Parallel tempering (R=4)");
-  // Tempering runs sit outside run_method_row, so they pick their own run
-  // ids well past the row counter and merge metrics back by hand.
-  std::uint64_t tempering_run = 1000;
-  for (const auto budget : budgets) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      const auto& nl = instances[i];
-      auto factory = [&](std::size_t replica) {
-        // Replica 0 starts from the shared experiment start; the others
-        // from derived random arrangements.
-        util::Rng start_rng{util::derive_seed(bench::kSeed + 70,
-                                              100 * i + replica)};
-        auto start = replica == 0
-                         ? bench::random_start(i, nl.num_cells())
-                         : linarr::Arrangement::random(nl.num_cells(),
-                                                       start_rng);
-        return std::unique_ptr<core::Problem>(
-            new linarr::LinArrProblem(nl, std::move(start)));
-      };
-      util::Rng rng{util::derive_seed(48, i)};
-      core::TemperingOptions options;
-      options.temperatures = core::geometric_schedule(y1, 0.5, 4);
-      options.budget = budget;
-      options.sweep = 25;
-      const obs::Recorder rec =
-          bench::driver_recorder()->with_run(tempering_run++).for_restart(
-              i, 0, nullptr);
-      options.recorder = &rec;
-      const auto result = core::parallel_tempering(factory, options, rng);
-      if (result.aggregate.metrics.collected) {
-        obs::RunMetrics m = result.aggregate.metrics;
-        m.restarts = 1;
-        bench::absorb_run_metrics(m);
-      }
-      total += result.aggregate.initial_cost - result.aggregate.best_cost;
-    }
-    table.cell(static_cast<long long>(total));
+  for (const double t : bench::group_sums(reductions, instances.size())) {
+    table.cell(static_cast<long long>(t));
   }
   table.print();
   bench::maybe_write_csv("extension_tempering", table);

@@ -9,108 +9,105 @@
 // and [WHIT84]-auto-calibrated annealing.
 #include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/calibration.hpp"
 #include "core/figure1.hpp"
 #include "core/gfunction.hpp"
-#include "linarr/goto_heuristic.hpp"
 #include "linarr/problem.hpp"
 #include "netlist/generator.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-using namespace mcopt;
-
-double run_class(const std::vector<netlist::Netlist>& instances,
-                 const core::GFunction& g, std::uint64_t budget,
-                 std::uint64_t seed_stream) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const auto& nl = instances[i];
-    linarr::LinArrProblem problem{nl, bench::random_start(i, nl.num_cells())};
-    util::Rng rng{util::derive_seed(seed_stream, i)};
-    core::Figure1Options options;
-    options.budget = budget;
-    total += core::run_figure1(problem, g, options, rng).reduction();
-  }
-  return total;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bench::reject_driver_args(argc, argv);
+  using namespace mcopt;
+  const unsigned threads = bench::parse_driver_flags(argc, argv);
   bench::print_header(
       "Scaling study — conclusions beyond the paper's instance size",
       "10 instances per size; nets = 10 x cells; budget grows with size");
 
   util::Table table;
-  table.add_column("cells");
-  table.add_column("budget");
-  table.add_column("start sum");
-  table.add_column("Goto");
-  table.add_column("6T anneal");
-  table.add_column("g = 1");
-  table.add_column("Cubic Diff");
-  table.add_column("Threshold");
-  table.add_column("White SA");
+  for (const char* column : {"cells", "budget", "start sum", "Goto",
+                             "6T anneal", "g = 1", "Cubic Diff", "Threshold",
+                             "White SA"}) {
+    table.add_column(column);
+  }
 
+  // One instance size; its g classes are in column order, and class c
+  // draws its moves from stream 71 + c.
+  struct Size {
+    std::size_t cells;
+    std::uint64_t budget;  ///< scales with the n^2 sweep size
+    std::vector<netlist::Netlist> instances;
+    std::vector<std::unique_ptr<core::GFunction>> classes;
+  };
+  constexpr std::size_t kInstances = 10;
+  constexpr std::size_t kClasses = 5;
+  std::vector<Size> sizes;
   for (const std::size_t cells : {std::size_t{15}, std::size_t{60},
                                   std::size_t{240}}) {
-    const std::size_t nets = cells * 10;
-    const auto instances = netlist::gola_test_set(
-        10, netlist::GolaParams{cells, nets}, bench::kSeed + 60);
-    // Budget scales with the move cost's natural unit, n^2 sweep size.
-    const std::uint64_t budget = bench::scaled(3 * cells * cells);
-
-    long long start_sum = 0;
-    long long goto_total = 0;
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      const auto& nl = instances[i];
-      const int random_density = linarr::density_of(
-          nl, bench::random_start(i, nl.num_cells()));
-      start_sum += random_density;
-      goto_total += random_density -
-                    linarr::density_of(nl, linarr::goto_arrangement(nl));
-    }
-
+    Size size{cells, bench::scaled(3 * cells * cells),
+              netlist::gola_test_set(kInstances,
+                                     netlist::GolaParams{cells, cells * 10},
+                                     bench::kSeed + 60),
+              {}};
     // Sample statistics once per size to parameterize the scaled classes.
-    linarr::LinArrProblem probe{instances[0],
+    linarr::LinArrProblem probe{size.instances[0],
                                 bench::random_start(0, cells)};
     util::Rng probe_rng{bench::kSeed + 61};
     const auto stats = core::sample_move_statistics(probe, 2'000, probe_rng);
+    const double delta = stats.mean_uphill_delta;
 
-    core::GParams params;
-    params.scale = stats.mean_uphill_delta;  // annealing Y1 ~ typical delta
-    const auto anneal = core::make_g(core::GClass::kSixTempAnnealing, params);
-    const auto g1 = core::make_g(core::GClass::kGOne);
-    core::GParams cubic_params;
-    cubic_params.scale = 0.2 * stats.mean_uphill_delta *
-                         stats.mean_uphill_delta * stats.mean_uphill_delta;
-    const auto cubic = core::make_g(core::GClass::kCubicDiff, cubic_params);
-    core::GParams thresh_params;
-    thresh_params.scale = stats.mean_uphill_delta;
-    const auto thresh =
-        core::make_g(core::GClass::kThresholdAccepting, thresh_params);
-    const auto white = core::make_annealing_g(core::white_schedule(stats, 6));
+    // Annealing Y1 ~ typical delta.
+    size.classes.push_back(
+        core::make_g(core::GClass::kSixTempAnnealing, {.scale = delta}));
+    size.classes.push_back(core::make_g(core::GClass::kGOne));
+    size.classes.push_back(core::make_g(
+        core::GClass::kCubicDiff, {.scale = 0.2 * delta * delta * delta}));
+    size.classes.push_back(
+        core::make_g(core::GClass::kThresholdAccepting, {.scale = delta}));
+    size.classes.push_back(
+        core::make_annealing_g(core::white_schedule(stats, 6)));
+    sizes.push_back(std::move(size));
+  }
 
+  // One grid of sizes x classes x instances, declared size-ascending so the
+  // 240-cell runs, about 94 % of the ticks, are claimed first.
+  constexpr std::size_t kPerSize = kClasses * kInstances;
+  std::vector<double> reductions(sizes.size() * kPerSize, 0.0);
+  bench::run_grid(
+      reductions.size(), threads, bench::driver_recorder(),
+      [&](bench::GridJob& job) {
+        const Size& size = sizes[job.index / kPerSize];
+        const std::size_t c = job.index % kPerSize / kInstances;
+        const std::size_t i = job.index % kInstances;
+        const auto& nl = size.instances[i];
+        linarr::LinArrProblem problem{nl,
+                                      bench::random_start(i, nl.num_cells())};
+        reductions[job.index] =
+            bench::figure1_chain(job, problem, *size.classes[c],
+                                 {.budget = size.budget}, 71 + c, i)
+                .reduction();
+      });
+  const auto totals = bench::group_sums(reductions, kInstances);
+
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    const Size& size = sizes[s];
     table.begin_row();
-    table.cell(static_cast<long long>(cells));
-    table.cell(static_cast<long long>(budget));
-    table.cell(start_sum);
-    table.cell(goto_total);
-    table.cell(static_cast<long long>(run_class(instances, *anneal, budget, 71)));
-    table.cell(static_cast<long long>(run_class(instances, *g1, budget, 72)));
-    table.cell(static_cast<long long>(run_class(instances, *cubic, budget, 73)));
-    table.cell(static_cast<long long>(run_class(instances, *thresh, budget, 74)));
-    table.cell(static_cast<long long>(run_class(instances, *white, budget, 75)));
+    table.cell(static_cast<long long>(size.cells));
+    table.cell(static_cast<long long>(size.budget));
+    table.cell(bench::total_start_density(size.instances,
+                                          bench::StartKind::kRandom));
+    table.cell(bench::goto_total_reduction(size.instances));
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      table.cell(static_cast<long long>(totals[s * kClasses + c]));
+    }
   }
   table.print();
   bench::maybe_write_csv("scaling_study", table);
+  bench::finish_driver_observability();
 
   std::printf(
       "\nShape checks: the paper's conclusions sharpen with size.  The\n"

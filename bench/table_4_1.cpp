@@ -7,10 +7,7 @@
 // the random starts.  Paper values are printed alongside for shape
 // comparison (ours use different random instances and RNG, so only
 // relative ordering is expected to match).
-#include <array>
 #include <cstdio>
-#include <map>
-#include <string>
 
 #include "common.hpp"
 #include "core/gfunction.hpp"
@@ -20,7 +17,7 @@
 namespace {
 
 // The published Table 4.1 entries, row label -> {6 s, 9 s, 12 s}.
-const std::map<std::string, std::array<int, 3>> kPaper41{
+const mcopt::bench::PaperRows kPaper41{
     {"[COHO83a]", {474, 505, 519}},
     {"Metropolis", {533, 558, 569}},
     {"Six Temperature Annealing", {601, 632, 652}},
@@ -68,12 +65,9 @@ int main(int argc, char** argv) {
                                            /*typical_delta=*/2.0, threads);
   std::printf("tuning pass: %.1f s\n\n", tune_watch.seconds());
 
-  bench::TableRunConfig config;
-  config.budgets = {bench::scaled(bench::kSixSec),
-                    bench::scaled(bench::kNineSec),
-                    bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
+  const bench::TableRunConfig config{.budgets = bench::paper_budgets(),
+                                     .num_threads = threads,
+                                     .recorder = bench::driver_recorder()};
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);
@@ -104,15 +98,7 @@ int main(int argc, char** argv) {
       table.cell("-");
     }
     for (const double t : totals) table.cell(static_cast<long long>(t));
-    const auto it = kPaper41.find(method.name);
-    if (it != kPaper41.end()) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%d / %d / %d", it->second[0],
-                    it->second[1], it->second[2]);
-      table.cell(std::string{buf});
-    } else {
-      table.cell("-");
-    }
+    table.cell(bench::paper_cell(kPaper41, method.name));
   }
   table.print();
   bench::maybe_write_csv("table_4_1", table);

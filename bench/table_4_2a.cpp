@@ -5,10 +5,7 @@
 // the cost magnitude at a near-optimal start differs from a random start.
 // The paper observes the best improvement is under 5% of the Goto starting
 // total (1993).
-#include <array>
 #include <cstdio>
-#include <map>
-#include <string>
 
 #include "common.hpp"
 #include "core/gfunction.hpp"
@@ -17,7 +14,7 @@
 namespace {
 
 // Legible entries of the published Table 4.2(a) {6, 9, 12 s}.
-const std::map<std::string, std::array<int, 3>> kPaper42a{
+const mcopt::bench::PaperRows kPaper42a{
     {"Linear Diff", {38, 46, 59}},     {"Quadratic Diff", {20, 18, 30}},
     {"Cubic Diff", {31, 43, 76}},      {"Exponential Diff", {41, 43, 62}},
     {"6 Linear Diff", {41, 56, 55}},   {"6 Quadratic Diff", {26, 35, 39}},
@@ -45,14 +42,11 @@ int main(int argc, char** argv) {
                           /*typical_cost=*/65.0, /*typical_delta=*/1.5,
                           threads);
 
-  bench::TableRunConfig config;
-  config.budgets = {bench::scaled(bench::kSixSec),
-                    bench::scaled(bench::kNineSec),
-                    bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
-  config.start = bench::StartKind::kGoto;
-  config.move_seed = 11;
+  const bench::TableRunConfig config{.budgets = bench::paper_budgets(),
+                                     .start = bench::StartKind::kGoto,
+                                     .move_seed = 11,
+                                     .num_threads = threads,
+                                     .recorder = bench::driver_recorder()};
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);
@@ -66,15 +60,8 @@ int main(int argc, char** argv) {
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
-    const auto it = kPaper42a.find(method.name);
-    if (it != kPaper42a.end()) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%d / %d / %d", it->second[0],
-                    it->second[1], it->second[2]);
-      table.cell(std::string{buf});
-    } else {
-      table.cell("(illegible in scan)");
-    }
+    table.cell(
+        bench::paper_cell(kPaper42a, method.name, "(illegible in scan)"));
   }
   table.print();
   bench::maybe_write_csv("table_4_2a", table);

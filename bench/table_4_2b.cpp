@@ -7,10 +7,7 @@
 // published observations: 9 of 13 classes improve under Figure 2, and with
 // the better strategy per class the spread between classes is at most ~6%.
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <map>
-#include <string>
 
 #include "common.hpp"
 #include "core/gfunction.hpp"
@@ -19,7 +16,7 @@
 namespace {
 
 // Legible entries of the published Table 4.2(b) {Figure 1, Figure 2}.
-const std::map<std::string, std::array<int, 2>> kPaper42b{
+const mcopt::bench::PaperRows kPaper42b{
     {"[COHO83a]", {651, 727}},        {"Metropolis", {682, 692}},
     {"Six Temperature Annealing", {739, 701}},
     {"g = 1", {736, 735}},            {"Two level g", {642, 703}},
@@ -46,11 +43,11 @@ int main(int argc, char** argv) {
                           /*typical_cost=*/80.0, /*typical_delta=*/2.0,
                           threads);
 
-  bench::TableRunConfig fig1;
-  fig1.budgets = {bench::scaled(bench::kThreeMin)};
-  fig1.move_seed = 13;
-  fig1.num_threads = threads;
-  fig1.recorder = bench::driver_recorder();
+  const bench::TableRunConfig fig1{
+      .budgets = {bench::scaled(bench::kThreeMin)},
+      .move_seed = 13,
+      .num_threads = threads,
+      .recorder = bench::driver_recorder()};
   bench::TableRunConfig fig2 = fig1;
   fig2.figure2 = true;
 
@@ -76,10 +73,7 @@ int main(int argc, char** argv) {
     table.cell(static_cast<long long>(f1));
     table.cell(static_cast<long long>(f2));
     table.cell(f2 > f1 ? "Fig 2" : (f1 > f2 ? "Fig 1" : "tie"));
-    const auto it = kPaper42b.find(method.name);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%d / %d", it->second[0], it->second[1]);
-    table.cell(std::string{buf});
+    table.cell(bench::paper_cell(kPaper42b, method.name));
   }
   table.print();
   bench::maybe_write_csv("table_4_2b", table);

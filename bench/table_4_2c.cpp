@@ -7,10 +7,7 @@
 // Published shape: total improvements a little under 10% of the 4254
 // starting total; g = 1 is the only class beating Goto and is ~30% ahead
 // of six-temperature annealing.
-#include <array>
 #include <cstdio>
-#include <map>
-#include <string>
 
 #include "common.hpp"
 #include "core/gfunction.hpp"
@@ -19,7 +16,7 @@
 namespace {
 
 // Legible entries of the published Table 4.2(c) {6, 9, 12 s}.
-const std::map<std::string, std::array<int, 3>> kPaper42c{
+const mcopt::bench::PaperRows kPaper42c{
     {"Linear Diff", {288, 313, 312}},   {"Quadratic Diff", {318, 321, 323}},
     {"Cubic Diff", {207, 237, 283}},    {"Exponential Diff", {212, 289, 338}},
     {"6 Linear Diff", {306, 309, 311}}, {"6 Quadratic Diff", {316, 319, 314}},
@@ -48,13 +45,10 @@ int main(int argc, char** argv) {
                                            /*typical_cost=*/80.0,
                                            /*typical_delta=*/2.0, threads);
 
-  bench::TableRunConfig config;
-  config.budgets = {bench::scaled(bench::kSixSec),
-                    bench::scaled(bench::kNineSec),
-                    bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
-  config.move_seed = 17;
+  const bench::TableRunConfig config{.budgets = bench::paper_budgets(),
+                                     .move_seed = 17,
+                                     .num_threads = threads,
+                                     .recorder = bench::driver_recorder()};
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);
@@ -76,15 +70,8 @@ int main(int argc, char** argv) {
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
-    const auto it = kPaper42c.find(method.name);
-    if (it != kPaper42c.end()) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%d / %d / %d", it->second[0],
-                    it->second[1], it->second[2]);
-      table.cell(std::string{buf});
-    } else {
-      table.cell("(illegible in scan)");
-    }
+    table.cell(
+        bench::paper_cell(kPaper42c, method.name, "(illegible in scan)"));
   }
   table.print();
   bench::maybe_write_csv("table_4_2c", table);

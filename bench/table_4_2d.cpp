@@ -6,10 +6,7 @@
 // digits to low tens; exponential difference is called the "stellar
 // performer", outdoing its nearest rivals (six-temperature annealing and
 // g = 1) by about 2x.
-#include <array>
 #include <cstdio>
-#include <map>
-#include <string>
 
 #include "common.hpp"
 #include "core/gfunction.hpp"
@@ -18,7 +15,7 @@
 namespace {
 
 // Legible entries of the published Table 4.2(d) {6, 9, 12 s}.
-const std::map<std::string, std::array<int, 3>> kPaper42d{
+const mcopt::bench::PaperRows kPaper42d{
     {"[COHO83a]", {6, 6, 6}},         {"Metropolis", {4, 4, 4}},
     {"Six Temperature Annealing", {8, 0, 12}},
     {"g = 1", {11, 11, 11}},          {"Two level g", {3, 3, 2}},
@@ -49,14 +46,11 @@ int main(int argc, char** argv) {
                                            /*typical_cost=*/80.0,
                                            /*typical_delta=*/2.0, threads);
 
-  bench::TableRunConfig config;
-  config.budgets = {bench::scaled(bench::kSixSec),
-                    bench::scaled(bench::kNineSec),
-                    bench::scaled(bench::kTwelveSec)};
-  config.num_threads = threads;
-  config.recorder = bench::driver_recorder();
-  config.start = bench::StartKind::kGoto;
-  config.move_seed = 19;
+  const bench::TableRunConfig config{.budgets = bench::paper_budgets(),
+                                     .start = bench::StartKind::kGoto,
+                                     .move_seed = 19,
+                                     .num_threads = threads,
+                                     .recorder = bench::driver_recorder()};
 
   util::Table table;
   table.add_column("g function", util::Table::Align::kLeft);
@@ -70,11 +64,7 @@ int main(int argc, char** argv) {
     table.begin_row();
     table.cell(method.name);
     for (const double t : totals) table.cell(static_cast<long long>(t));
-    const auto it = kPaper42d.find(method.name);
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%d / %d / %d", it->second[0],
-                  it->second[1], it->second[2]);
-    table.cell(std::string{buf});
+    table.cell(bench::paper_cell(kPaper42d, method.name));
   }
   table.print();
   bench::maybe_write_csv("table_4_2d", table);

@@ -230,12 +230,5 @@ TEST(DriverFlagsDeathTest, UnwritableCsvDirExitsOne) {
       ::testing::ExitedWithCode(1), "cannot write /no/such/dir/table.csv");
 }
 
-TEST(DriverFlagsDeathTest, FlaglessDriverRejectsAnyArgument) {
-  const char* argv[] = {"driver", "--threads", "4"};
-  EXPECT_EXIT(reject_driver_args(3, argv), ::testing::ExitedWithCode(2),
-              "unknown flag --threads");
-  reject_driver_args(1, argv);  // no arguments: returns
-}
-
 }  // namespace
 }  // namespace mcopt::bench
