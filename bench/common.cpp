@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -24,7 +26,7 @@
 #include "netlist/generator.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
-#include "obs/registry.hpp"
+#include "obs/perfcount.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "util/invariant.hpp"
@@ -130,8 +132,9 @@ void write_or_exit(const std::string& path, const std::string& content) {
 }
 
 // Observability state installed by parse_driver_flags().  The recorder is
-// off by default, so drivers that never see an observability flag pay one
-// dead branch per event site and nothing else.
+// off without --run-dir, so such a run pays one dead branch per event site
+// and nothing else.
+std::string g_run_dir;  // empty = no --run-dir
 std::unique_ptr<obs::JsonlFileSink> g_trace_sink;
 // Fans the event stream into both the trace file and the flight ring when
 // --trace and --flight-recorder are both active.
@@ -139,16 +142,15 @@ std::unique_ptr<obs::TeeSink> g_flight_tee;
 obs::Recorder g_recorder;
 obs::Heartbeat g_heartbeat;
 obs::RunMetrics g_metrics_totals;
-// Hardware counters armed by --perf-counters; the recorder borrows the
-// pointer, so the group must outlive every run (it lives for the process).
+// Every perf counter that opens; the recorder borrows the pointer, so the
+// group must outlive every run (it lives for the process).
 std::unique_ptr<obs::PerfCounterGroup> g_perf_group;
 obs::TimelineBuilder g_timeline;
-std::string g_trace_path;
-std::string g_metrics_path;
-std::string g_profile_path;
-std::string g_prom_path;
-std::string g_timeline_path;
 std::uint64_t g_run_counter = 0;
+
+std::string run_path(const std::string& name) {
+  return g_run_dir + "/" + name;
+}
 
 /// Observables digest for the heartbeat's final row tick, e.g.
 /// "eq 3/6 stages" — how many sampled stages reached equilibrium in at
@@ -268,7 +270,7 @@ obs::RunMetrics run_grid(std::size_t num_jobs, unsigned num_threads,
     // Per-worker timeline lanes: each job's own profile tree lands on the
     // lane of the worker that ran it, appended in job-index order — the
     // same order the trace and metrics merges use.
-    if (!g_timeline_path.empty() && !done.metrics.profile.empty()) {
+    if (!g_run_dir.empty() && !done.metrics.profile.empty()) {
       const auto tid = static_cast<std::uint32_t>(done.worker);
       g_timeline.set_process_name(1, "workers");
       g_timeline.set_thread_name(
@@ -346,10 +348,9 @@ std::optional<DriverOptions> parse_driver_options(int argc,
                                                   const char* const* argv,
                                                   std::string* error) {
   const util::Args args{argc, argv};
-  const auto unknown = args.unknown_flags(
-      {"threads", "trace", "metrics", "metrics-out", "profile-out",
-       "prom-out", "timeline-out", "perf-counters", "trace-sample",
-       "progress", "flight-recorder", "flight-out", "quiet", "verbose"});
+  const auto unknown = args.unknown_flags({"threads", "run-dir", "trace",
+                                           "progress", "flight-recorder",
+                                           "quiet", "verbose"});
   if (!unknown.empty()) {
     *error = "unknown flag --" + unknown.front();
     return std::nullopt;
@@ -366,18 +367,28 @@ std::optional<DriverOptions> parse_driver_options(int argc,
   DriverOptions out;
   out.quiet = args.has("quiet");
   out.verbose = args.has("verbose");
+  if (args.has("run-dir")) {
+    out.run_dir = args.value("run-dir").value_or("");
+    if (out.run_dir.empty()) {
+      *error = "--run-dir expects a directory path";
+      return std::nullopt;
+    }
+  }
 
   long long threads = 1;
-  long long sample = 1;
-  if (!positive_flag(args, "threads", &threads, error) ||
-      !positive_flag(args, "trace-sample", &sample, error)) {
-    return std::nullopt;
-  }
+  if (!positive_flag(args, "threads", &threads, error)) return std::nullopt;
   out.threads = static_cast<unsigned>(threads);
-  out.trace_sample = static_cast<std::uint64_t>(sample);
 
-  // --progress and --flight-recorder may also be given bare, which selects
-  // their default.
+  // --trace, --progress and --flight-recorder may also be given bare,
+  // which selects their default.
+  if (args.has("trace")) {
+    long long sample = 1;
+    if (args.value("trace") &&
+        !positive_flag(args, "trace", &sample, error)) {
+      return std::nullopt;
+    }
+    out.trace_sample = static_cast<std::uint64_t>(sample);
+  }
   if (args.has("progress")) {
     out.progress_interval = 2.0;
     if (args.value("progress") &&
@@ -393,38 +404,10 @@ std::optional<DriverOptions> parse_driver_options(int argc,
     }
     out.flight_capacity = static_cast<std::size_t>(cap);
   }
-  out.flight_path = args.get("flight-out", out.flight_path);
-  if (out.flight_capacity == 0 && args.has("flight-out")) {
-    *error = "--flight-out requires --flight-recorder";
-    return std::nullopt;
-  }
-
-  out.trace_path = args.get("trace", "");
-  // --metrics is the original spelling; --metrics-out matches the other
-  // exporter flags and wins when both are given.
-  out.metrics_path = args.get("metrics-out", args.get("metrics", ""));
-  out.profile_path = args.get("profile-out", "");
-  out.prom_path = args.get("prom-out", "");
-
-  if (args.has("timeline-out")) {
-    out.timeline_path = args.value("timeline-out").value_or("");
-    if (out.timeline_path.empty()) {
-      *error = "--timeline-out expects a file path";
+  for (const char* name : {"trace", "flight-recorder"}) {
+    if (args.has(name) && out.run_dir.empty()) {
+      *error = std::string{"--"} + name + " requires --run-dir";
       return std::nullopt;
-    }
-  }
-  if (args.has("perf-counters")) {
-    const std::string list = args.value("perf-counters").value_or("");
-    if (list.empty()) {
-      out.perf_counters = obs::all_perf_counters();  // bare flag
-    } else {
-      std::string parse_error;
-      const auto counters = obs::parse_perf_counters(list, &parse_error);
-      if (!counters) {
-        *error = "--perf-counters: " + parse_error;
-        return std::nullopt;
-      }
-      out.perf_counters = *counters;
     }
   }
   return out;
@@ -440,11 +423,9 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
     obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
              error.c_str());
     obs::log(obs::LogLevel::kError,
-             "usage: %s [--threads N] [--trace FILE] [--metrics-out FILE] "
-             "[--profile-out FILE] [--prom-out FILE] [--timeline-out FILE] "
-             "[--perf-counters [LIST]] [--trace-sample N] "
+             "usage: %s [--threads N] [--run-dir DIR] [--trace [N]] "
              "[--progress [SECS]] [--flight-recorder [CAP]] "
-             "[--flight-out FILE] [--quiet|--verbose]",
+             "[--quiet|--verbose]",
              args.program().c_str());
     std::exit(2);
   }
@@ -455,23 +436,31 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
              "threads=%u (results are thread-count invariant)",
              parsed->threads);
   }
+  if (parsed->progress_interval > 0.0) {
+    g_heartbeat.enable("jobs", parsed->progress_interval);
+  }
+  if (parsed->run_dir.empty()) return parsed->threads;
 
-  g_trace_path = parsed->trace_path;
-  g_metrics_path = parsed->metrics_path;
-  g_profile_path = parsed->profile_path;
-  g_prom_path = parsed->prom_path;
-  g_timeline_path = parsed->timeline_path;
-  if (!g_trace_path.empty()) {
+  // The run directory exists before any work runs, so a bad path costs a
+  // status-2 error now instead of a failed write after the whole run.
+  g_run_dir = parsed->run_dir;
+  std::error_code dir_error;
+  std::filesystem::create_directories(g_run_dir, dir_error);
+  if (dir_error || !std::filesystem::is_directory(g_run_dir)) {
+    obs::log(obs::LogLevel::kError, "%s: cannot create run directory %s%s%s",
+             args.program().c_str(), g_run_dir.c_str(),
+             dir_error ? ": " : "", dir_error.message().c_str());
+    std::exit(2);
+  }
+  if (parsed->trace_sample > 0) {
     try {
-      g_trace_sink = std::make_unique<obs::JsonlFileSink>(g_trace_path);
+      g_trace_sink =
+          std::make_unique<obs::JsonlFileSink>(run_path("trace.jsonl"));
     } catch (const std::invalid_argument& open_error) {
       obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
                open_error.what());
       std::exit(2);
     }
-  }
-  if (parsed->progress_interval > 0.0) {
-    g_heartbeat.enable("jobs", parsed->progress_interval);
   }
   // The flight ring rides the same event stream as --trace: alone it is
   // the recorder's sink, together they share a tee.  Handlers go in after
@@ -479,7 +468,7 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
   obs::TraceSink* event_sink = g_trace_sink.get();
   if (parsed->flight_capacity > 0) {
     auto& flight = obs::FlightRecorder::instance();
-    flight.arm(parsed->flight_capacity, parsed->flight_path);
+    flight.arm(parsed->flight_capacity, run_path("flight.jsonl"));
     flight.install_crash_handlers();
     if (event_sink != nullptr) {
       g_flight_tee =
@@ -489,32 +478,23 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
       event_sink = flight.sink();
     }
   }
-  const bool collect_metrics =
-      !g_metrics_path.empty() || !g_prom_path.empty();
-  // Timeline export and counter attribution both ride the profile tree.
-  const bool collect_profile = !g_profile_path.empty() ||
-                               !g_timeline_path.empty() ||
-                               !parsed->perf_counters.empty();
-  if (event_sink != nullptr || collect_metrics || collect_profile) {
-    g_recorder = obs::Recorder{event_sink, collect_metrics,
-                               parsed->trace_sample, /*run=*/0,
-                               collect_profile};
-  }
-  if (!parsed->perf_counters.empty()) {
-    g_perf_group =
-        std::make_unique<obs::PerfCounterGroup>(parsed->perf_counters);
-    if (g_perf_group->available()) {
-      g_recorder.set_perf_counters(g_perf_group.get());
-      obs::log(obs::LogLevel::kInfo,
-               "perf counters armed (%zu of %zu requested)",
-               g_perf_group->active_counters().size(),
-               parsed->perf_counters.size());
-    } else {
-      // Graceful degradation: the run proceeds identically, the perf
-      // gauges are simply never produced.
-      obs::log(obs::LogLevel::kInfo, "perf counters unavailable: %s",
-               g_perf_group->unavailable_reason().c_str());
-    }
+  // Metrics and the profile tree (which the timeline and the counter
+  // attribution ride) are always collected in a run directory.
+  g_recorder = obs::Recorder{event_sink, /*metrics=*/true,
+                             std::max<std::uint64_t>(parsed->trace_sample, 1),
+                             /*run=*/0, /*profile=*/true};
+  g_perf_group =
+      std::make_unique<obs::PerfCounterGroup>(obs::all_perf_counters());
+  if (g_perf_group->available()) {
+    g_recorder.set_perf_counters(g_perf_group.get());
+    obs::log(obs::LogLevel::kInfo, "perf counters armed (%zu of %zu)",
+             g_perf_group->active_counters().size(),
+             obs::all_perf_counters().size());
+  } else {
+    // Graceful degradation: the run proceeds identically, the perf
+    // gauges are simply never produced.
+    obs::log(obs::LogLevel::kInfo, "perf counters unavailable: %s",
+             g_perf_group->unavailable_reason().c_str());
   }
   return parsed->threads;
 }
@@ -559,43 +539,27 @@ void parse_bench_flags(int argc, const char* const* argv,
 const obs::Recorder* driver_recorder() { return &g_recorder; }
 
 void finish_driver_observability() {
+  if (g_run_dir.empty()) return;
   if (g_trace_sink != nullptr) {
     g_trace_sink->flush();
     obs::log(obs::LogLevel::kInfo, "trace: %llu events -> %s",
              static_cast<unsigned long long>(g_trace_sink->written()),
-             g_trace_path.c_str());
+             run_path("trace.jsonl").c_str());
   }
-  if (!g_metrics_path.empty()) {
-    write_or_exit(g_metrics_path, g_metrics_totals.to_json());
-    obs::log(obs::LogLevel::kInfo, "%s", g_metrics_totals.summary().c_str());
-    obs::log(obs::LogLevel::kInfo, "metrics -> %s", g_metrics_path.c_str());
+  write_or_exit(run_path("metrics.json"), g_metrics_totals.to_json());
+  obs::log(obs::LogLevel::kInfo, "%s", g_metrics_totals.summary().c_str());
+  // The aggregate lane goes in last so it reflects every merged row;
+  // worker lanes were appended by run_grid in job-index order.
+  if (!g_metrics_totals.profile.empty()) {
+    g_timeline.set_process_name(0, "mcopt aggregate profile");
+    g_timeline.set_thread_name(0, 0, "all runs");
+    g_timeline.add_tree(g_metrics_totals.profile, 0, 0);
   }
-  if (!g_profile_path.empty()) {
-    write_or_exit(g_profile_path, "{\n  \"profile\": " +
-                                      g_metrics_totals.profile.to_json() +
-                                      "\n}\n");
-    obs::log(obs::LogLevel::kInfo, "profile -> %s", g_profile_path.c_str());
-  }
-  if (!g_timeline_path.empty()) {
-    // The aggregate lane goes in last so it reflects every merged row;
-    // worker lanes were appended by run_grid in job-index order.
-    if (!g_metrics_totals.profile.empty()) {
-      g_timeline.set_process_name(0, "mcopt aggregate profile");
-      g_timeline.set_thread_name(0, 0, "all runs");
-      g_timeline.add_tree(g_metrics_totals.profile, 0, 0);
-    }
-    write_or_exit(g_timeline_path, g_timeline.to_json());
-    obs::log(obs::LogLevel::kInfo,
-             "timeline: %zu events -> %s (open in ui.perfetto.dev)",
-             g_timeline.num_events(), g_timeline_path.c_str());
-  }
-  if (!g_prom_path.empty()) {
-    obs::MetricsRegistry registry;
-    registry.populate_from_run(g_metrics_totals);
-    write_or_exit(g_prom_path, registry.to_prometheus());
-    obs::log(obs::LogLevel::kInfo, "prometheus metrics (%zu series) -> %s",
-             registry.size(), g_prom_path.c_str());
-  }
+  write_or_exit(run_path("timeline.json"), g_timeline.to_json());
+  obs::log(obs::LogLevel::kInfo,
+           "run dir %s: metrics.json, timeline.json (%zu events; open in "
+           "ui.perfetto.dev)",
+           g_run_dir.c_str(), g_timeline.num_events());
   const obs::FlightRecorder& flight = obs::FlightRecorder::instance();
   if (flight.armed()) {
     // A clean exit only reports the ring; the dump file is written by the
@@ -660,9 +624,8 @@ void print_header(const std::string& title, const std::string& protocol) {
 
 void maybe_write_csv(const std::string& experiment,
                      const util::Table& table) {
-  const char* dir = std::getenv("MCOPT_BENCH_CSV_DIR");
-  if (dir == nullptr || dir[0] == '\0') return;
-  const std::string path = std::string{dir} + "/" + experiment + ".csv";
+  if (g_run_dir.empty()) return;
+  const std::string path = run_path(experiment + ".csv");
   std::ostringstream out;
   util::CsvWriter csv{out};
   csv.row(table.headers());

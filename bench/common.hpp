@@ -31,7 +31,6 @@
 #include "linarr/problem.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/heartbeat.hpp"
-#include "obs/perfcount.hpp"
 #include "obs/recorder.hpp"
 #include "util/table.hpp"
 
@@ -149,61 +148,52 @@ std::vector<double> run_method_row(const Method& method,
                                    const std::vector<netlist::Netlist>& instances,
                                    const TableRunConfig& config);
 
-/// The observability configuration shared by every table driver.
+/// The flags shared by every experiment driver.
 struct DriverOptions {
   unsigned threads = 1;
-  std::uint64_t trace_sample = 1;
-  std::string trace_path;       ///< --trace FILE (JSONL events)
-  std::string metrics_path;     ///< --metrics-out FILE (--metrics alias)
-  std::string profile_path;     ///< --profile-out FILE (profile-tree JSON)
-  std::string prom_path;        ///< --prom-out FILE (Prometheus text)
-  /// --timeline-out FILE: Chrome Trace Event JSON of the profile trees
-  /// (Perfetto / chrome://tracing).  Implies profiling, like --profile-out.
-  std::string timeline_path;
-  /// --perf-counters [LIST]: arm hardware counters on the driver thread
-  /// and attribute them to profile scopes.  Empty list = off; the bare
-  /// flag selects every counter.  Implies profiling.
-  std::vector<obs::PerfCounter> perf_counters;
+  /// --run-dir DIR: where the run's artifacts go.  Empty = none are
+  /// written and nothing is collected.
+  std::string run_dir;
+  /// --trace [N]: write DIR/trace.jsonl keeping every Nth
+  /// proposal/accept/reject trio (bare flag = 1).  0 = off.
+  std::uint64_t trace_sample = 0;
   double progress_interval = 0.0;  ///< --progress [SECS]; 0 = off
   /// --flight-recorder [CAP]: keep the last CAP events in the process-wide
-  /// flight ring and dump them as JSONL on abnormal exit.  0 = off.
+  /// flight ring and dump them to DIR/flight.jsonl on abnormal exit.
+  /// 0 = off.
   std::size_t flight_capacity = 0;
-  std::string flight_path = "flight.jsonl";  ///< --flight-out FILE
   bool quiet = false;
   bool verbose = false;
 };
 
 /// Side-effect-free parse of the shared driver flags.  Returns nullopt and
 /// fills `*error` with a one-line message (flag name included) on any
-/// unknown flag, conflicting pair, or non-positive numeric value.
+/// unknown flag, conflicting pair, missing --run-dir, or non-positive
+/// numeric value.
 std::optional<DriverOptions> parse_driver_options(int argc,
                                                   const char* const* argv,
                                                   std::string* error);
 
-/// Parses the flags shared by every table driver and returns the worker
-/// thread count:
+/// Parses the flags shared by every experiment driver and returns the
+/// worker thread count:
 ///   --threads N          worker threads (default 1, must be >= 1)
-///   --trace FILE         JSONL trace of every run (tools/trace_report.py)
-///   --metrics-out FILE   merged metrics summary as JSON (--metrics alias)
-///   --profile-out FILE   hierarchical stage-profile tree as JSON
-///   --prom-out FILE      metrics registry, Prometheus text exposition
-///   --trace-sample N     keep every Nth proposal/accept/reject trio
+///   --run-dir DIR        created up front; the run writes
+///                        DIR/<experiment>.csv, DIR/metrics.json (merged
+///                        metrics with the stage-profile tree; every perf
+///                        counter that opens is armed) and
+///                        DIR/timeline.json (Chrome Trace Event JSON for
+///                        Perfetto: one aggregate lane + one lane per
+///                        worker, appended in job-index order)
+///   --trace [N]          DIR/trace.jsonl, every Nth proposal/accept/reject
+///                        trio (default 1; tools/trace_report.py)
 ///   --progress [SECS]    heartbeat lines, at most one per SECS (default 2)
 ///   --flight-recorder [CAP]  last-CAP-events flight ring (default 4096),
-///                        dumped to --flight-out on crash/abort/SIGTERM
-///   --flight-out FILE    flight-recorder dump path (default flight.jsonl)
-///   --timeline-out FILE  Chrome Trace Event JSON (Perfetto) of the
-///                        profile trees: one aggregate lane + one lane per
-///                        worker, appended in job-index order
-///   --perf-counters [LIST]  hardware counters (cycles,instructions,
-///                        cache-references,cache-misses,branch-misses,
-///                        task-clock; bare flag = all) attributed to
-///                        profile scopes; degrades gracefully when
-///                        perf_event_open is denied
+///                        dumped to DIR/flight.jsonl on crash/abort/SIGTERM
 ///   --quiet / --verbose  log level (errors only / debug)
-/// Applies MCOPT_LOG_LEVEL first (explicit flags win), installs the
-/// recorder returned by driver_recorder() and sets the obs::log level.
-/// Rejects unknown flags; exits with status 2 on a bad command line.
+/// --trace and --flight-recorder need --run-dir.  Applies MCOPT_LOG_LEVEL
+/// first (explicit flags win), installs the recorder returned by
+/// driver_recorder() and sets the obs::log level.  Exits with status 2 on
+/// a bad command line or a run directory that cannot be created.
 unsigned parse_driver_flags(int argc, const char* const* argv);
 
 /// A numeric flag of a bench with its own flag set: --name is read into
@@ -228,13 +218,13 @@ void parse_bench_flags(int argc, const char* const* argv,
                        const std::vector<RealFlag>& reals = {});
 
 /// The process-wide recorder configured by parse_driver_flags(); off (and
-/// free) when no observability flag was given.  Never null.
+/// free) without --run-dir.  Never null.
 const obs::Recorder* driver_recorder();
 
-/// Flushes the trace sink, writes the --metrics-out / --profile-out /
-/// --prom-out files, and logs a one-line telemetry summary.  Call once at
-/// the end of a driver's main; no-op when observability is off.  A file
-/// that cannot be written exits the process with status 1.
+/// Flushes DIR/trace.jsonl, writes DIR/metrics.json and DIR/timeline.json,
+/// and logs a one-line telemetry summary.  Call once at the end of a
+/// driver's main; no-op without --run-dir.  A file that cannot be written
+/// exits the process with status 1.
 void finish_driver_observability();
 
 /// Sum of the starting densities over the instance set for the given start
@@ -262,10 +252,10 @@ void print_header(const std::string& title, const std::string& protocol);
 /// were live during the bench, not compiled out.
 void print_invariant_summary();
 
-/// When MCOPT_BENCH_CSV_DIR is set, mirrors the table to
-/// <dir>/<experiment>.csv (header row + data rows) so plots can be
-/// regenerated outside the repo.  No-op otherwise; exits with status 1,
-/// naming the path, when the file cannot be written.
+/// With --run-dir DIR, mirrors the table to DIR/<experiment>.csv (header
+/// row + data rows) so plots can be regenerated outside the repo.  No-op
+/// otherwise; exits with status 1, naming the path, when the file cannot
+/// be written.
 void maybe_write_csv(const std::string& experiment, const util::Table& table);
 
 /// Writes an already-serialized JSON document to <dir>/<name>.json, where

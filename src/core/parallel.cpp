@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,7 +30,6 @@ struct StartResult {
   RunResult run;
   Snapshot final_state;
   std::vector<obs::Event> events;
-  std::uint64_t worker = 0;  // 0 = the calling/reducing thread
 };
 
 /// Executes restart `index` with `slice` ticks on `problem` — one iteration
@@ -69,7 +67,6 @@ StartResult run_start(Problem& problem, const Runner& runner,
   }
   problem.snapshot_into(out.final_state);
   out.events = shard.take();
-  out.worker = worker;
   return out;
 }
 
@@ -250,16 +247,6 @@ MultistartResult parallel_multistart(Problem& problem, const Runner& runner,
     // sequential loop event for event (worker stamps aside).
     if (obs::TraceSink* sink = root.sink()) {
       for (const obs::Event& event : start.events) sink->write(event);
-    }
-    // Per-worker timeline spans, drained in the same index order as the
-    // trace: only the reducing thread touches the builder.
-    if (options.timeline != nullptr && !start.run.metrics.profile.empty()) {
-      const auto tid = static_cast<std::uint32_t>(start.worker);
-      options.timeline->set_thread_name(
-          options.timeline_pid, tid,
-          tid == 0 ? "reducer" : "worker " + std::to_string(tid));
-      options.timeline->add_tree(start.run.metrics.profile,
-                                 options.timeline_pid, tid);
     }
     obs::Recorder fold_rec = root.for_restart(index, 0, nullptr);
 

@@ -90,7 +90,7 @@ struct RunMetrics {
   void merge(const RunMetrics& other);
 
   /// Pretty-printed JSON object (stable key order, two-space indent) — the
-  /// payload of the bench drivers' --metrics FILE.
+  /// payload of a bench driver's run-directory metrics.json.
   [[nodiscard]] std::string to_json() const;
 
   /// One-line human summary for logs and RunResult::to_string.

@@ -45,8 +45,8 @@ using WideInt = __int128;
 /// Exact running statistics of one temperature stage's cost series.
 ///
 /// Fed by obs::Recorder from the un-sampled metrics path (never the
-/// strided trace path, so --trace-sample cannot change a single bit of
-/// these).  The accumulator fields merge across restart shards; the
+/// strided trace path, so the --trace N stride cannot change a single bit
+/// of these).  The accumulator fields merge across restart shards; the
 /// "transient" fields at the bottom are per-run detector state and are
 /// deliberately neither merged nor exported.
 struct StageObservables {

@@ -1,7 +1,6 @@
 #include "obs/perfcount.hpp"
 
 #include <cerrno>
-#include <cstddef>
 #include <cstring>
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
@@ -152,42 +151,6 @@ std::vector<PerfCounter> all_perf_counters() {
   return {PerfCounter::kCycles,          PerfCounter::kInstructions,
           PerfCounter::kCacheReferences, PerfCounter::kCacheMisses,
           PerfCounter::kBranchMisses,    PerfCounter::kTaskClock};
-}
-
-std::optional<std::vector<PerfCounter>> parse_perf_counters(
-    const std::string& list, std::string* error) {
-  std::vector<PerfCounter> out;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string token = list.substr(start, comma - start);
-    bool known = false;
-    for (const PerfCounter which : all_perf_counters()) {
-      if (token == perf_counter_name(which)) {
-        out.push_back(which);
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      if (error != nullptr) {
-        *error = token.empty() ? std::string{"empty counter name"}
-                               : "unknown counter '" + token + "'";
-        *error += " (known: ";
-        bool first = true;
-        for (const PerfCounter which : all_perf_counters()) {
-          if (!first) *error += ", ";
-          first = false;
-          *error += perf_counter_name(which);
-        }
-        *error += ")";
-      }
-      return std::nullopt;
-    }
-    start = comma + 1;
-  }
-  return out;
 }
 
 PerfBackend& system_perf_backend() noexcept {

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,17 +44,11 @@ enum class PerfCounter : std::uint8_t {
   kTaskClock,
 };
 
-/// Spelled name used by --perf-counters and the error messages.
+/// Spelled name used in reports and log lines.
 [[nodiscard]] const char* perf_counter_name(PerfCounter which) noexcept;
 
-/// Every counter in menu order — the bare --perf-counters default.
+/// Every counter in menu order — what a driver's --run-dir arms.
 [[nodiscard]] std::vector<PerfCounter> all_perf_counters();
-
-/// Parses a comma-separated counter list ("cycles,cache-misses").  Returns
-/// nullopt and fills *error naming the offending token on an unknown or
-/// empty name.
-[[nodiscard]] std::optional<std::vector<PerfCounter>> parse_perf_counters(
-    const std::string& list, std::string* error);
 
 /// One cumulative counter reading with the multiplexing clock pair
 /// (PERF_FORMAT_TOTAL_TIME_ENABLED/RUNNING): when the kernel rotated the

@@ -195,7 +195,7 @@ class Recorder {
   /// begin_run() was told about.
   StageMetrics& stage_slot(std::uint32_t stage);
   /// observables[stage], same growth rule.  Observables are fed strictly
-  /// from this un-sampled metrics path — the --trace-sample stride gates
+  /// from this un-sampled metrics path — the --trace N stride gates
   /// trace emission only, so sampled and unsampled runs report
   /// byte-identical observables (regression-tested).
   StageObservables& observables_slot(std::uint32_t stage);

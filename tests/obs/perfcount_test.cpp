@@ -1,6 +1,6 @@
-// PerfCounterGroup against scripted backends: counter parsing, multiplex
-// scaling, fd bookkeeping, and the forced-unavailable degradation path
-// the drivers rely on when perf_event_open is denied.
+// PerfCounterGroup against scripted backends: multiplex scaling, fd
+// bookkeeping, and the forced-unavailable degradation path the drivers
+// rely on when perf_event_open is denied.
 #include "obs/perfcount.hpp"
 
 #include <cerrno>
@@ -54,32 +54,6 @@ class ScriptedBackend final : public PerfBackend {
   std::map<int, PerfReading> readings;
   std::vector<int> closed;
 };
-
-TEST(PerfCounterNamesTest, ParseAcceptsEveryKnownName) {
-  for (const PerfCounter which : all_perf_counters()) {
-    std::string error;
-    const auto parsed = parse_perf_counters(perf_counter_name(which), &error);
-    ASSERT_TRUE(parsed.has_value()) << error;
-    ASSERT_EQ(parsed->size(), 1u);
-    EXPECT_EQ(parsed->front(), which);
-  }
-  std::string error;
-  const auto list =
-      parse_perf_counters("cycles,instructions,task-clock", &error);
-  ASSERT_TRUE(list.has_value()) << error;
-  EXPECT_EQ(list->size(), 3u);
-}
-
-TEST(PerfCounterNamesTest, ParseRejectsUnknownNamesByName) {
-  std::string error;
-  EXPECT_FALSE(parse_perf_counters("cycles,zeppelins", &error).has_value());
-  EXPECT_NE(error.find("unknown counter 'zeppelins'"), std::string::npos);
-  // The known vocabulary is spelled out so the user can self-correct.
-  EXPECT_NE(error.find("task-clock"), std::string::npos);
-
-  EXPECT_FALSE(parse_perf_counters("cycles,,task-clock", &error).has_value());
-  EXPECT_NE(error.find("empty counter name"), std::string::npos);
-}
 
 TEST(PerfCounterGroupTest, AllRefusedReportsUnavailableWithReason) {
   EnosysBackend backend;

@@ -5,11 +5,14 @@ Tick budgets make every driver's numbers a pure function of the seed, so
 the reduced-scale outputs are pinned byte for byte in tests/golden/: the
 CSV of each of the 13 table drivers, and the stdout of the two drivers
 that print their tables without a CSV (partition_compare, tsp_compare).
+Every run goes through ``--run-dir``, so metrics, profile and perf-counter
+collection are live, and a run fails unless its ``metrics.json`` holds
+collected runs: the pinned tables are the ones a fully observed run prints.
 
     python3 tools/golden.py regen --bin-dir build/bench
     python3 tools/golden.py check --bin-dir build/bench table_4_1 [--threads 4]
 
-``regen`` runs every driver serially with no flags and rewrites the golden
+``regen`` runs every driver serially (one thread) and rewrites the golden
 files.  A changed golden file needs a CHANGES.md line saying why the
 numbers moved.  ``check`` runs one driver (at --threads 4 by default; the
 output must not depend on the thread count) and compares its output with
@@ -53,20 +56,25 @@ def golden_name(driver: str) -> str:
     return driver + (".csv" if driver in CSV_DRIVERS else ".stdout")
 
 
-def run_driver(bin_dir: str, driver: str, args: list[str]) -> str:
+def run_driver(bin_dir: str, driver: str, threads: int) -> str:
     """Runs `driver` at the golden scale; returns its golden output."""
-    with tempfile.TemporaryDirectory() as csv_dir:
-        env = dict(os.environ, MCOPT_BENCH_SCALE=SCALE,
-                   MCOPT_BENCH_CSV_DIR=csv_dir)
-        proc = subprocess.run([os.path.join(bin_dir, driver), *args],
+    with tempfile.TemporaryDirectory() as run_dir:
+        env = dict(os.environ, MCOPT_BENCH_SCALE=SCALE)
+        proc = subprocess.run([os.path.join(bin_dir, driver), "--threads",
+                               str(threads), "--run-dir", run_dir, "--quiet"],
                               env=env, capture_output=True, text=True,
                               check=False)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
             raise RuntimeError(f"{driver} exited {proc.returncode}")
+        with open(os.path.join(run_dir, "metrics.json"),
+                  encoding="utf-8") as f:
+            if '"collected": true' not in f.read():
+                raise RuntimeError(f"{driver}: metrics.json holds no "
+                                   "collected runs")
         if driver in STDOUT_DRIVERS:
             return proc.stdout
-        with open(os.path.join(csv_dir, driver + ".csv"),
+        with open(os.path.join(run_dir, driver + ".csv"),
                   encoding="utf-8") as f:
             return f.read()
 
@@ -76,7 +84,7 @@ def regen(bin_dir: str, golden_dir: str) -> int:
     for driver in DRIVERS:
         path = os.path.join(golden_dir, golden_name(driver))
         with open(path, "w", encoding="utf-8") as f:
-            f.write(run_driver(bin_dir, driver, []))
+            f.write(run_driver(bin_dir, driver, 1))
         print(f"wrote {path}")
     return 0
 
@@ -85,7 +93,7 @@ def check(bin_dir: str, golden_dir: str, driver: str, threads: int) -> int:
     path = os.path.join(golden_dir, golden_name(driver))
     with open(path, encoding="utf-8") as f:
         expected = f.read()
-    actual = run_driver(bin_dir, driver, ["--threads", str(threads)])
+    actual = run_driver(bin_dir, driver, threads)
     if actual == expected:
         print(f"{driver} --threads {threads}: identical to {path}")
         return 0

@@ -570,9 +570,8 @@ class CounterNameSyncRule(Rule):
     """The Prometheus family namespace lives in two places that must not
     drift: the string literals passed to MetricsRegistry::counter_add /
     gauge_max / histogram_merge (and their _locked variants) in C++, and
-    trace_report.py's KNOWN_METRICS table that --prom validation (run by
-    CI on the smoke exposition) accepts.  A family emitted by C++ alone
-    produces expositions that fail validation; this rule flags any
+    trace_report.py's KNOWN_METRICS table that documents what
+    MetricsRegistry::to_prometheus may emit.  This rule flags any
     mcopt_-prefixed literal absent from the Python table, so both move in
     the same change.  Scoped to src/: tests exercise the registry with
     synthetic family names that never reach a shipped exposition."""
@@ -581,9 +580,8 @@ class CounterNameSyncRule(Rule):
         super().__init__(
             name="counter-name-sync",
             explanation="Prometheus family missing from "
-            "tools/trace_report.py KNOWN_METRICS; expositions containing "
-            "it fail --prom validation, so extend the table in the same "
-            "change",
+            "tools/trace_report.py KNOWN_METRICS; extend the table in the "
+            "same change",
             scope={"src"},
         )
 
@@ -608,8 +606,7 @@ class CounterNameSyncRule(Rule):
                 out.append(ctx.finding(
                     ctx.model.line_at(match.start()), self.name,
                     f'metric family "{name}" is not in trace_report.py\'s '
-                    "KNOWN_METRICS; add it there so --prom validation "
-                    "accepts expositions that contain it"))
+                    "KNOWN_METRICS; add it there in the same change"))
         return out
 
 

@@ -16,7 +16,7 @@ This tool turns that contract into a debugging instrument:
   current cost from ``restart_begin`` and applying ``accept`` events, and
   flags any event whose ``cost`` disagrees with the replayed value — a
   torn or reordered stream fails here even when both files are
-  self-consistent.  Needs a full trace (``--trace-sample 1``): sampling
+  self-consistent.  Needs a full trace (bare ``--trace``): sampling
   strides drop accept events, which makes the replayed chain go stale.
 * **observables** (``--observables``): renders a per-stage table (samples,
   mean/variance of the sampled cost, acceptance rate) from each trace so a
@@ -146,7 +146,7 @@ def replay_costs(name: str, events: list[dict]) -> int:
 def observables_table(name: str, events: list[dict]) -> None:
     """Per-stage sampled-cost statistics, the offline mirror of
     obs::StageObservables (over the *sampled* stream, so totals differ
-    from the exact in-process accumulators under --trace-sample)."""
+    from the exact in-process accumulators under --trace N)."""
     stats = defaultdict(lambda: {"n": 0, "sum": 0.0, "sumsq": 0.0,
                                  "accepts": 0, "rejects": 0})
     for event in events:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Offline reporting and validation for mcopt JSONL traces.
 
-The bench drivers (``--trace FILE``) and the obs::JsonlFileSink emit one
-event per line with a fixed key order::
+The bench drivers (``--run-dir DIR --trace [N]`` writes
+``DIR/trace.jsonl``) and the obs::JsonlFileSink emit one event per line
+with a fixed key order::
 
     {"event":"accept","run":0,"restart":3,"worker":1,"tick":412,
      "stage":2,"cost":71,"best":68}
@@ -17,15 +18,10 @@ here:
 * ``--validate``: a strict schema check of every line, used by CI on a
   traced smoke workload.  Exit status 1 on the first malformed file.
 
-Beyond traces, it renders the other observability exports:
-
-* ``--metrics FILE``: the ``--metrics-out`` JSON — summary counters, the
-  per-stage proposal-mix table, and the uphill-Δcost histograms as
-  per-bucket bar charts;
-* ``--profile FILE``: the ``--profile-out`` JSON — the hierarchical stage
-  profile as an indented tree with per-node tick shares;
-* ``--prom FILE``: validates a ``--prom-out`` Prometheus text exposition
-  (HELP/TYPE before samples, contiguous families, parseable samples).
+Beyond traces, ``--metrics DIR/metrics.json`` renders a run directory's
+merged metrics: summary counters, the per-stage proposal-mix table, the
+uphill-Δcost histograms as per-bucket bar charts, and the embedded
+hierarchical stage profile as an indented tree with per-node tick shares.
 
 Determinism contract (see src/obs/event.hpp): every field except
 ``worker`` — and ``worker_steal`` events entirely — is a pure function of
@@ -37,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from collections import defaultdict
 
@@ -53,10 +48,10 @@ EVENT_KINDS = {
 
 STAGE_REASONS = {"start", "slice", "patience", "equilibrium"}
 
-# Every Prometheus family the C++ registry may emit (src/obs/registry.cpp).
-# ``--prom`` validation rejects any other mcopt_-prefixed family, and
-# mcoptlint's counter-name-sync rule checks the C++ side against this
-# table, so the two can never drift silently.  Keep one name per line.
+# Every Prometheus family MetricsRegistry::to_prometheus may emit
+# (src/obs/registry.cpp).  mcoptlint's counter-name-sync rule checks the
+# C++ side against this table, so the two can never drift silently.  Keep
+# one name per line.
 KNOWN_METRICS = {
     "mcopt_restarts_total",
     "mcopt_new_bests_total",
@@ -315,7 +310,7 @@ def report_metrics(path: str) -> int:
         print(f"{name}: n={hist['count']} sum={hist['sum']:g} "
               f"mean={mean:.2f}")
         print_table(["Δcost", "count", "share", ""], histogram_rows(hist))
-    return 0
+    return report_profile(path, metrics.get("profile", []))
 
 
 def print_profile_tree(nodes, indent: int, parent_ticks) -> None:
@@ -330,91 +325,15 @@ def print_profile_tree(nodes, indent: int, parent_ticks) -> None:
         print_profile_tree(node.get("children", []), indent + 1, ticks)
 
 
-def report_profile(path: str) -> int:
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    roots = doc.get("profile", doc) if isinstance(doc, dict) else doc
+def report_profile(path: str, roots) -> int:
     if not isinstance(roots, list):
-        print(f"{path}: no 'profile' array found", file=sys.stderr)
+        print(f"{path}: 'profile' is not an array", file=sys.stderr)
         return 1
+    if not roots:
+        return 0
     print(f"{path}: stage profile")
     total = sum(node.get("ticks", 0) for node in roots)
     print_profile_tree(roots, 1, total if len(roots) > 1 else None)
-    return 0
-
-
-PROM_NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
-PROM_SAMPLE = re.compile(
-    r"^(" + PROM_NAME + r")(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$")
-PROM_HELP = re.compile(r"^# HELP (" + PROM_NAME + r") (.*)$")
-PROM_TYPE = re.compile(
-    r"^# TYPE (" + PROM_NAME + r") (counter|gauge|histogram|summary)$")
-
-
-def validate_prometheus(path: str) -> int:
-    """Checks exposition-format shape: HELP/TYPE precede their samples and
-    every family's lines are contiguous."""
-    errors = []
-    declared: dict[str, str] = {}
-    seen_families: list[str] = []
-
-    def family_of(name: str) -> str:
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[:-len(suffix)] in declared:
-                return name[:-len(suffix)]
-        return name
-
-    samples = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# HELP "):
-                match = PROM_HELP.match(line)
-                if not match:
-                    errors.append(f"line {lineno}: malformed HELP")
-                continue
-            if line.startswith("# TYPE "):
-                match = PROM_TYPE.match(line)
-                if not match:
-                    errors.append(f"line {lineno}: malformed TYPE")
-                    continue
-                name = match.group(1)
-                if name in declared:
-                    errors.append(f"line {lineno}: duplicate TYPE for "
-                                  f"'{name}' (family not contiguous)")
-                if name.startswith("mcopt_") and name not in KNOWN_METRICS:
-                    errors.append(f"line {lineno}: family '{name}' not in "
-                                  f"KNOWN_METRICS (update trace_report.py)")
-                declared[name] = match.group(2)
-                seen_families.append(name)
-                continue
-            if line.startswith("#"):
-                continue
-            match = PROM_SAMPLE.match(line)
-            if not match:
-                errors.append(f"line {lineno}: unparseable sample: {line!r}")
-                continue
-            samples += 1
-            family = family_of(match.group(1))
-            if family not in declared:
-                errors.append(f"line {lineno}: sample '{match.group(1)}' "
-                              f"has no preceding TYPE")
-            elif seen_families and seen_families[-1] != family:
-                errors.append(f"line {lineno}: sample for '{family}' after "
-                              f"family '{seen_families[-1]}' opened "
-                              f"(families must be contiguous)")
-            value = match.group(3)
-            if declared.get(family) == "counter" and value.startswith("-"):
-                errors.append(f"line {lineno}: negative counter value")
-    if errors:
-        for error in errors[:20]:
-            print(f"{path}: {error}", file=sys.stderr)
-        print(f"{path}: INVALID ({len(errors)} violation(s))",
-              file=sys.stderr)
-        return 1
-    print(f"{path}: OK ({samples} samples, {len(declared)} families)")
     return 0
 
 
@@ -449,25 +368,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--buckets", type=int, default=10,
                         help="tick buckets for the cost-vs-tick table")
     parser.add_argument("--metrics", metavar="FILE",
-                        help="render a --metrics-out JSON summary")
-    parser.add_argument("--profile", metavar="FILE",
-                        help="render a --profile-out JSON tree")
-    parser.add_argument("--prom", metavar="FILE",
-                        help="validate a --prom-out Prometheus exposition")
+                        help="render a run directory's metrics.json")
     args = parser.parse_args(argv)
     if args.buckets < 1:
         parser.error("--buckets must be >= 1")
-    if not args.traces and not (args.metrics or args.profile or args.prom):
-        parser.error("nothing to do: give trace file(s) or one of "
-                     "--metrics/--profile/--prom")
+    if not args.traces and not args.metrics:
+        parser.error("nothing to do: give trace file(s) or --metrics")
     status = 0
     try:
         if args.metrics:
             status = max(status, report_metrics(args.metrics))
-        if args.profile:
-            status = max(status, report_profile(args.profile))
-        if args.prom:
-            status = max(status, validate_prometheus(args.prom))
     except (OSError, json.JSONDecodeError, KeyError) as err:
         print(f"observability export: {err}", file=sys.stderr)
         status = max(status, 2)

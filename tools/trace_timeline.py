@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Validator / renderer for the --timeline-out Chrome Trace Event export.
+"""Validator / renderer for a run directory's timeline.json.
 
-The bench drivers (``--timeline-out FILE``) serialize their profile trees
-as Chrome Trace Event Format JSON — the format Perfetto
+The bench drivers (``--run-dir DIR`` writes ``DIR/timeline.json``)
+serialize their profile trees as Chrome Trace Event Format JSON — the
+format Perfetto
 (https://ui.perfetto.dev) and chrome://tracing open directly::
 
     {"traceEvents": [
@@ -282,7 +283,7 @@ def self_test() -> int:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("traces", nargs="*",
-                        help="--timeline-out JSON file(s)")
+                        help="run-directory timeline.json file(s)")
     parser.add_argument("--validate", action="store_true",
                         help="strict shape check; exit 1 on any violation")
     parser.add_argument("--summary", action="store_true",
