@@ -152,6 +152,20 @@ std::string run_path(const std::string& name) {
   return g_run_dir + "/" + name;
 }
 
+/// Creates `dir` and makes it the run directory, so a bad path costs a
+/// status-2 error before any work runs instead of a failed write after it.
+void open_run_dir(const std::string& program, const std::string& dir) {
+  g_run_dir = dir;
+  std::error_code dir_error;
+  std::filesystem::create_directories(g_run_dir, dir_error);
+  if (dir_error || !std::filesystem::is_directory(g_run_dir)) {
+    obs::log(obs::LogLevel::kError, "%s: cannot create run directory %s%s%s",
+             program.c_str(), g_run_dir.c_str(), dir_error ? ": " : "",
+             dir_error.message().c_str());
+    std::exit(2);
+  }
+}
+
 /// Observables digest for the heartbeat's final row tick, e.g.
 /// "eq 3/6 stages" — how many sampled stages reached equilibrium in at
 /// least one run.  Empty when metrics are off or nothing was sampled.
@@ -440,18 +454,7 @@ unsigned parse_driver_flags(int argc, const char* const* argv) {
     g_heartbeat.enable("jobs", parsed->progress_interval);
   }
   if (parsed->run_dir.empty()) return parsed->threads;
-
-  // The run directory exists before any work runs, so a bad path costs a
-  // status-2 error now instead of a failed write after the whole run.
-  g_run_dir = parsed->run_dir;
-  std::error_code dir_error;
-  std::filesystem::create_directories(g_run_dir, dir_error);
-  if (dir_error || !std::filesystem::is_directory(g_run_dir)) {
-    obs::log(obs::LogLevel::kError, "%s: cannot create run directory %s%s%s",
-             args.program().c_str(), g_run_dir.c_str(),
-             dir_error ? ": " : "", dir_error.message().c_str());
-    std::exit(2);
-  }
+  open_run_dir(args.program(), parsed->run_dir);
   if (parsed->trace_sample > 0) {
     try {
       g_trace_sink =
@@ -503,8 +506,8 @@ void parse_bench_flags(int argc, const char* const* argv,
                        const std::vector<IntFlag>& ints,
                        const std::vector<RealFlag>& reals) {
   const util::Args args{argc, argv};
-  std::vector<std::string> known;
-  std::string usage;
+  std::vector<std::string> known{"run-dir"};
+  std::string usage = " [--run-dir DIR]";
   for (const IntFlag& flag : ints) {
     known.emplace_back(flag.name);
     usage += std::string{" [--"} + flag.name + " N]";
@@ -515,10 +518,13 @@ void parse_bench_flags(int argc, const char* const* argv,
   }
   std::string error;
   const auto unknown = args.unknown_flags(known);
+  const std::string run_dir = args.value("run-dir").value_or("");
   if (!unknown.empty()) {
     error = "unknown flag --" + unknown.front();
   } else if (!args.positional().empty()) {
     error = "unexpected argument '" + args.positional().front() + "'";
+  } else if (args.has("run-dir") && run_dir.empty()) {
+    error = "--run-dir expects a directory path";
   } else {
     bool ok = true;
     for (const IntFlag& flag : ints) {
@@ -528,7 +534,10 @@ void parse_bench_flags(int argc, const char* const* argv,
       ok = ok && positive_flag(args, flag.name, flag.value, &error);
     }
   }
-  if (error.empty()) return;
+  if (error.empty()) {
+    if (!run_dir.empty()) open_run_dir(args.program(), run_dir);
+    return;
+  }
   obs::log(obs::LogLevel::kError, "%s: %s", args.program().c_str(),
            error.c_str());
   obs::log(obs::LogLevel::kError, "usage: %s%s", args.program().c_str(),
@@ -635,10 +644,8 @@ void maybe_write_csv(const std::string& experiment,
 }
 
 void write_json_report(const std::string& name, const std::string& payload) {
-  const char* dir = std::getenv("MCOPT_BENCH_JSON_DIR");
   const std::string path =
-      (dir != nullptr && dir[0] != '\0' ? std::string{dir} + "/" : std::string{}) +
-      name + ".json";
+      g_run_dir.empty() ? name + ".json" : run_path(name + ".json");
   write_or_exit(path, payload);
   std::printf("(json report written to %s)\n", path.c_str());
 }

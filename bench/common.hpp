@@ -209,10 +209,12 @@ struct RealFlag {
 };
 
 /// Parses the flags of a bench that takes its own numeric flags instead of
-/// the driver set (ladder, parallel_speedup).  Integers must be >= 1, reals
-/// finite and > 0.  Exits with status 2 and a usage line on an unknown
-/// flag, a positional argument, or a malformed value, naming the flag
-/// ("--budget expects an integer >= 1 (got 'abc')").
+/// the driver set (ladder, parallel_speedup), plus the shared --run-dir
+/// DIR, which is created up front (status 2 if it cannot be) and receives
+/// the bench's BENCH_*.json.  Integers must be >= 1, reals finite and > 0.
+/// Exits with status 2 and a usage line on an unknown flag, a positional
+/// argument, or a malformed value, naming the flag ("--budget expects an
+/// integer >= 1 (got 'abc')").
 void parse_bench_flags(int argc, const char* const* argv,
                        const std::vector<IntFlag>& ints,
                        const std::vector<RealFlag>& reals = {});
@@ -258,11 +260,11 @@ void print_invariant_summary();
 /// be written.
 void maybe_write_csv(const std::string& experiment, const util::Table& table);
 
-/// Writes an already-serialized JSON document to <dir>/<name>.json, where
-/// <dir> is MCOPT_BENCH_JSON_DIR or the current directory.  Machine-readable
-/// bench output (BENCH_parallel.json etc.) flows through here so future PRs
-/// can diff perf trajectories.  Exits with status 1, naming the path, when
-/// the file cannot be written.
+/// Writes an already-serialized JSON document to DIR/<name>.json with
+/// --run-dir DIR, else to <name>.json in the current directory.
+/// Machine-readable bench output (BENCH_parallel.json etc.) flows through
+/// here so later changes can diff perf trajectories.  Exits with status 1,
+/// naming the path, when the file cannot be written.
 void write_json_report(const std::string& name, const std::string& payload);
 
 }  // namespace mcopt::bench

@@ -14,7 +14,9 @@
 // guarantees; everything else in the report is seed-pinned.
 //
 // Flags: --max-threads N (default 8) caps the thread sweep;
-//        --budget T (default 400'000) total ticks per configuration.
+//        --budget T (default 400'000) total ticks per configuration;
+//        --run-dir DIR writes DIR/BENCH_parallel.json instead of
+//        ./BENCH_parallel.json.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>

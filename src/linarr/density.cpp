@@ -37,6 +37,10 @@ DensityState::DensityState(const DensityState& other)
 DensityState& DensityState::operator=(const DensityState& other) {
   if (this == &other) return *this;
   MCOPT_DCHECK(!other.speculating(), "copying a speculating DensityState");
+  // Cleared against our own cuts_, before they are overwritten.
+  spec_clear_scratch();
+  spec_kind_ = SpecKind::kNone;
+  touched_.clear();
   netlist_ = other.netlist_;
   arrangement_ = other.arrangement_;
   net_lo_ = other.net_lo_;
@@ -45,9 +49,6 @@ DensityState& DensityState::operator=(const DensityState& other) {
   cut_histogram_ = other.cut_histogram_;
   max_cut_ = other.max_cut_;
   total_span_ = other.total_span_;
-  spec_kind_ = SpecKind::kNone;
-  touched_.clear();
-  spec_clear_scratch();
   reserve_scratch();
   return *this;
 }
@@ -65,9 +66,8 @@ void DensityState::reserve_scratch() {
   spec_new_lo_.reserve(nets);
   spec_new_hi_.reserve(nets);
   spec_boundaries_.reserve(boundaries);
-  spec_removed_values_.reserve(boundaries);
-  boundary_delta_.assign(boundaries, 0);
-  boundary_mark_.assign(boundaries, 0);
+  spec_deltas_.reserve(boundaries);
+  boundary_diff_.assign(arrangement_.size(), 0);
   removed_at_.assign(cut_histogram_.size(), 0);
 }
 
@@ -78,9 +78,8 @@ bool DensityState::scratch_reserved() const noexcept {
          spec_nets_.capacity() >= nets && spec_new_lo_.capacity() >= nets &&
          spec_new_hi_.capacity() >= nets &&
          spec_boundaries_.capacity() >= boundaries &&
-         spec_removed_values_.capacity() >= boundaries &&
-         boundary_delta_.size() == boundaries &&
-         boundary_mark_.size() == boundaries &&
+         spec_deltas_.capacity() >= boundaries &&
+         boundary_diff_.size() == arrangement_.size() &&
          removed_at_.size() == cut_histogram_.size();
 }
 
@@ -188,43 +187,32 @@ void DensityState::apply_move(std::size_t from, std::size_t to) {
 }
 
 // mcopt: hot
-void DensityState::spec_touch_range(std::size_t lo, std::size_t hi,
-                                    int delta) {
-  for (std::size_t b = lo; b < hi; ++b) {
-    if (!boundary_mark_[b]) {
-      boundary_mark_[b] = 1;
-      // Reserved to cuts_.size() up front; never reallocates.
-      spec_boundaries_.push_back(b);  // mcopt-lint: allow(hot-loop-alloc)
-    }
-    boundary_delta_[b] += delta;
-  }
-}
-
-// mcopt: hot
 void DensityState::spec_record_net(NetId n, std::size_t new_lo,
                                    std::size_t new_hi) {
   const std::size_t old_lo = net_lo_[n];
   const std::size_t old_hi = net_hi_[n];
   if (new_lo == old_lo && new_hi == old_hi) return;
+  const std::size_t w_lo = std::min(spec_a_, spec_b_);
+  const std::size_t w_hi = std::max(spec_a_, spec_b_);
+  auto moved_in_window = [w_lo, w_hi](std::size_t from, std::size_t to) {
+    return from == to ||
+           (w_lo <= from && from <= w_hi && w_lo <= to && to <= w_hi);
+  };
+  MCOPT_DCHECK(moved_in_window(old_lo, new_lo) &&
+                   moved_in_window(old_hi, new_hi),
+               "net extremum moved outside the move window");
   // Reserved to num_nets() up front; never reallocates.
   spec_nets_.push_back(n);           // mcopt-lint: allow(hot-loop-alloc)
   spec_new_lo_.push_back(new_lo);    // mcopt-lint: allow(hot-loop-alloc)
   spec_new_hi_.push_back(new_hi);    // mcopt-lint: allow(hot-loop-alloc)
-  // Touch only the symmetric difference of the old boundary span
-  // [old_lo, old_hi) and the new one [new_lo, new_hi): the shared middle
-  // keeps its crossing count, so a long net sliding by one position costs
-  // O(1) boundary updates instead of O(span).
-  const std::size_t ilo = std::max(old_lo, new_lo);
-  const std::size_t ihi = std::min(old_hi, new_hi);
-  if (ilo < ihi) {
-    spec_touch_range(old_lo, ilo, -1);
-    spec_touch_range(ihi, old_hi, -1);
-    spec_touch_range(new_lo, ilo, +1);
-    spec_touch_range(ihi, new_hi, +1);
-  } else {
-    spec_touch_range(old_lo, old_hi, -1);
-    spec_touch_range(new_lo, new_hi, +1);
-  }
+  // The boundary span [lo, hi) is +1 at lo and -1 at hi in the difference
+  // array: retire the old span, add the new one.  An endpoint that does not
+  // move cancels at its own index, so only moved endpoints — all inside the
+  // window — leave anything for spec_finish() to sweep.
+  --boundary_diff_[old_lo];
+  ++boundary_diff_[old_hi];
+  ++boundary_diff_[new_lo];
+  --boundary_diff_[new_hi];
 }
 
 // mcopt: hot
@@ -244,17 +232,26 @@ void DensityState::spec_finish() {
   // boundaries whose committed cut is v, so cut_histogram_[v] -
   // removed_at_[v] is the count of unchanged boundaries at v; we scan down
   // from the committed density until that is nonzero.
+  //
+  // One prefix sweep over the window's boundaries turns the difference
+  // array into per-boundary deltas and zeroes it on the way.
   const int cur = density();
+  const std::size_t w_lo = std::min(spec_a_, spec_b_);
+  const std::size_t w_hi = std::max(spec_a_, spec_b_);
   int window_max = 0;
-  for (const std::size_t b : spec_boundaries_) {
-    const int dz = boundary_delta_[b];
+  int dz = 0;
+  for (std::size_t b = w_lo; b < w_hi; ++b) {
+    dz += boundary_diff_[b];
+    boundary_diff_[b] = 0;
     if (dz == 0) continue;
     const int old_cut = cuts_[b];
     ++removed_at_[static_cast<std::size_t>(old_cut)];
     // Reserved to cuts_.size() up front; never reallocates.
-    spec_removed_values_.push_back(old_cut);  // mcopt-lint: allow(hot-loop-alloc)
+    spec_boundaries_.push_back(b);  // mcopt-lint: allow(hot-loop-alloc)
+    spec_deltas_.push_back(dz);     // mcopt-lint: allow(hot-loop-alloc)
     window_max = std::max(window_max, old_cut + dz);
   }
+  boundary_diff_[w_hi] = 0;  // holds -dz: every net's writes sum to zero
   if (window_max >= cur) {
     spec_density_ = window_max;
   } else {
@@ -370,13 +367,11 @@ void DensityState::speculate_move(std::size_t from, std::size_t to) {
 // mcopt: hot
 void DensityState::commit_speculation() {
   MCOPT_DCHECK(speculating(), "commit without a pending speculation");
-  for (const std::size_t b : spec_boundaries_) {
-    boundary_mark_[b] = 0;
-    const int dz = boundary_delta_[b];
-    boundary_delta_[b] = 0;
-    if (dz == 0) continue;  // gained and lost the same crossings
+  for (std::size_t i = 0; i < spec_boundaries_.size(); ++i) {
+    const std::size_t b = spec_boundaries_[i];
     const int old_cut = cuts_[b];
-    const int new_cut = old_cut + dz;
+    const int new_cut = old_cut + spec_deltas_[i];
+    removed_at_[static_cast<std::size_t>(old_cut)] = 0;
     cuts_[b] = new_cut;
     // One histogram update per changed boundary — bump_boundary would pay
     // one per crossing *unit*.
@@ -384,10 +379,7 @@ void DensityState::commit_speculation() {
     ++cut_histogram_[static_cast<std::size_t>(new_cut)];
   }
   spec_boundaries_.clear();
-  for (const int v : spec_removed_values_) {
-    removed_at_[static_cast<std::size_t>(v)] = 0;
-  }
-  spec_removed_values_.clear();
+  spec_deltas_.clear();
   for (std::size_t i = 0; i < spec_nets_.size(); ++i) {
     const NetId n = spec_nets_[i];
     net_lo_[n] = spec_new_lo_[i];
@@ -416,14 +408,10 @@ void DensityState::discard_speculation() {
 // mcopt: hot
 void DensityState::spec_clear_scratch() {
   for (const std::size_t b : spec_boundaries_) {
-    boundary_delta_[b] = 0;
-    boundary_mark_[b] = 0;
+    removed_at_[static_cast<std::size_t>(cuts_[b])] = 0;
   }
   spec_boundaries_.clear();
-  for (const int v : spec_removed_values_) {
-    removed_at_[static_cast<std::size_t>(v)] = 0;
-  }
-  spec_removed_values_.clear();
+  spec_deltas_.clear();
   spec_nets_.clear();
   spec_new_lo_.clear();
   spec_new_hi_.clear();
@@ -441,6 +429,10 @@ void DensityState::reset(Arrangement arrangement) {
 bool DensityState::verify() const {
   if (speculating()) return false;
   if (!arrangement_.is_consistent()) return false;
+  if (std::any_of(boundary_diff_.begin(), boundary_diff_.end(),
+                  [](int d) { return d != 0; })) {
+    return false;
+  }
   DensityState fresh{*netlist_, arrangement_};
   if (fresh.density() != density()) return false;
   if (fresh.total_span_ != total_span_) return false;

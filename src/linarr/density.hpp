@@ -26,10 +26,17 @@
 //     them, then commit_speculation() in O(touched) or
 //     discard_speculation() in O(touched-scratch-clears) — a rejected
 //     proposal never writes cuts_, the histogram, or the arrangement.
-//     Speculation also skips nets whose extrema provably cannot change and
-//     updates only the end segments a span actually gained or lost, with
-//     one histogram update per changed boundary instead of one per crossing
-//     unit, so accepted moves are cheaper than the apply path too.
+//     Positions outside the window [min(a,b), max(a,b)] do not move under
+//     a swap or a single exchange, so every net extremum that changes lies
+//     in that window before and after the move.  Speculation skips nets
+//     whose extrema provably cannot change, records each other net as four
+//     +-1 writes into a difference array (old span out, new span in; an
+//     endpoint that stays put cancels), and one prefix sweep over the
+//     window yields the changed boundaries, their deltas and the window
+//     maximum: O(touched nets + window) per move.
+//     Commit pays one histogram update per changed boundary instead of one
+//     per crossing unit, so accepted moves are cheaper than the apply path
+//     too.
 #pragma once
 
 #include <cstddef>
@@ -111,9 +118,9 @@ class DensityState {
     return spec_kind_ != SpecKind::kNone;
   }
 
-  /// Commits the pending speculation in O(touched): one histogram update
-  /// per changed boundary, extrema from the journal, then the arrangement
-  /// move itself.
+  /// Commits the pending speculation in O(touched nets + changed
+  /// boundaries): one histogram update per boundary the window sweep
+  /// emitted, extrema from the journal, then the arrangement move itself.
   void commit_speculation();
 
   /// Drops the pending speculation; only scratch marks are cleared.
@@ -123,8 +130,9 @@ class DensityState {
   void reset(Arrangement arrangement);
 
   /// Recomputes from scratch and compares with the incremental state.
-  /// Returns true when they agree (and no speculation is pending); tests
-  /// assert this after random moves.
+  /// Returns true when they agree, no speculation is pending and the
+  /// speculation difference array is all zero; tests assert this after
+  /// random moves.
   [[nodiscard]] bool verify() const;
 
   /// True when every per-move scratch buffer holds its full reservation;
@@ -142,7 +150,6 @@ class DensityState {
   void add_span(std::size_t lo, std::size_t hi, int delta);
   void bump_boundary(std::size_t b, int delta);
   void spec_record_net(NetId n, std::size_t new_lo, std::size_t new_hi);
-  void spec_touch_range(std::size_t lo, std::size_t hi, int delta);
   void spec_finish();
   void spec_clear_scratch();
 
@@ -168,11 +175,10 @@ class DensityState {
   std::vector<NetId> spec_nets_;           // journal: net whose extrema move
   std::vector<std::size_t> spec_new_lo_;   //   parallel: candidate lo
   std::vector<std::size_t> spec_new_hi_;   //   parallel: candidate hi
-  std::vector<std::size_t> spec_boundaries_;  // changed boundaries, deduped
-  std::vector<int> boundary_delta_;        // per boundary, zero outside spec
-  std::vector<char> boundary_mark_;
+  std::vector<std::size_t> spec_boundaries_;  // changed, ascending
+  std::vector<int> spec_deltas_;           //   parallel: cut delta
+  std::vector<int> boundary_diff_;  // size n, all zero between moves
   std::vector<int> removed_at_;     // old cut value -> #changed boundaries
-  std::vector<int> spec_removed_values_;   // values touched in removed_at_
 };
 
 /// One-shot density of an arrangement (builds a temporary state).

@@ -165,6 +165,25 @@ TEST_P(SpeculativeFuzzTest, LinArrTotalSpanObjective) {
   run_rebuild_oracle_fuzz(problem, linarr_substrate(), seed, 600);
 }
 
+// 60 cells: wide move windows and long net spans, at fewer steps.
+TEST_P(SpeculativeFuzzTest, LinArrPairwiseInterchangeAt60) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  util::Rng gen{seed * 113 + 11};
+  const auto nl = netlist::random_gola(netlist::GolaParams{60, 600}, gen);
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(60, gen),
+                                linarr::MoveKind::kPairwiseInterchange};
+  run_rebuild_oracle_fuzz(problem, linarr_substrate(), seed, 150);
+}
+
+TEST_P(SpeculativeFuzzTest, LinArrSingleExchangeAt60) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  util::Rng gen{seed * 137 + 17};
+  const auto nl = netlist::random_gola(netlist::GolaParams{60, 600}, gen);
+  linarr::LinArrProblem problem{nl, linarr::Arrangement::random(60, gen),
+                                linarr::MoveKind::kSingleExchange};
+  run_rebuild_oracle_fuzz(problem, linarr_substrate(), seed, 150);
+}
+
 TEST_P(SpeculativeFuzzTest, Partition) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   util::Rng gen{seed * 171 + 5};

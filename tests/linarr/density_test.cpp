@@ -200,14 +200,15 @@ TEST(DensityBoundTest, DensityAtLeastMinDegreeOnGraphs) {
 // the candidate without touching the committed state; commit makes the
 // candidate current; discard is a perfect no-op.  The apply path is the
 // oracle.
-TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
-  util::Rng rng{83};
-  const Netlist nl = random_gola(GolaParams{12, 80}, rng);
-  DensityState spec{nl, Arrangement::random(12, rng)};
+void check_swap_speculation(GolaParams params, std::uint64_t seed) {
+  util::Rng rng{seed};
+  const Netlist nl = random_gola(params, rng);
+  const std::size_t n = params.num_cells;
+  DensityState spec{nl, Arrangement::random(n, rng)};
   DensityState oracle{spec};
   for (int trial = 0; trial < 200; ++trial) {
-    const auto p = static_cast<std::size_t>(rng.next() % 12);
-    auto q = static_cast<std::size_t>(rng.next() % 11);
+    const auto p = static_cast<std::size_t>(rng.next() % n);
+    auto q = static_cast<std::size_t>(rng.next() % (n - 1));
     if (q >= p) ++q;
     const int before_density = spec.density();
     const long long before_span = spec.total_span();
@@ -228,19 +229,22 @@ TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
       ASSERT_EQ(spec.density(), before_density);
       ASSERT_EQ(spec.total_span(), before_span);
     }
-    if (trial % 25 == 0) ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    if (trial % 25 == 0) {
+      ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    }
   }
   EXPECT_TRUE(spec.verify());
 }
 
-TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
-  util::Rng rng{87};
-  const Netlist nl = random_gola(GolaParams{12, 80}, rng);
-  DensityState spec{nl, Arrangement::random(12, rng)};
+void check_move_speculation(GolaParams params, std::uint64_t seed) {
+  util::Rng rng{seed};
+  const Netlist nl = random_gola(params, rng);
+  const std::size_t n = params.num_cells;
+  DensityState spec{nl, Arrangement::random(n, rng)};
   DensityState oracle{spec};
   for (int trial = 0; trial < 200; ++trial) {
-    const auto from = static_cast<std::size_t>(rng.next() % 12);
-    auto to = static_cast<std::size_t>(rng.next() % 11);
+    const auto from = static_cast<std::size_t>(rng.next() % n);
+    auto to = static_cast<std::size_t>(rng.next() % (n - 1));
     if (to >= from) ++to;
     const int before_density = spec.density();
     const long long before_span = spec.total_span();
@@ -260,9 +264,111 @@ TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
       ASSERT_EQ(spec.density(), before_density);
       ASSERT_EQ(spec.total_span(), before_span);
     }
-    if (trial % 25 == 0) ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    if (trial % 25 == 0) {
+      ASSERT_TRUE(spec.verify()) << "trial " << trial;
+    }
   }
   EXPECT_TRUE(spec.verify());
+}
+
+TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracle) {
+  check_swap_speculation(GolaParams{12, 80}, 83);
+}
+
+TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracle) {
+  check_move_speculation(GolaParams{12, 80}, 87);
+}
+
+// 60 cells: windows up to 59 boundaries wide, nets spanning most of them.
+TEST(DensitySpeculationTest, SwapSpeculationMatchesApplyOracleAt60) {
+  check_swap_speculation(GolaParams{60, 600}, 89);
+}
+
+TEST(DensitySpeculationTest, MoveSpeculationMatchesApplyOracleAt60) {
+  check_move_speculation(GolaParams{60, 600}, 97);
+}
+
+// Speculates the swap or single exchange (a, b) on `state` and checks it
+// against the apply oracle.  A second speculation after discard must
+// reproduce the first — it would not if the window's difference array were
+// left dirty — and verify() must hold after both discard and commit.
+void check_window_case(DensityState& state, bool swap, std::size_t a,
+                       std::size_t b) {
+  SCOPED_TRACE(::testing::Message()
+               << (swap ? "swap " : "move ") << a << ", " << b);
+  DensityState oracle{state};
+  if (swap) {
+    oracle.apply_swap(a, b);
+  } else {
+    oracle.apply_move(a, b);
+  }
+  auto speculate = [&] {
+    if (swap) {
+      state.speculate_swap(a, b);
+    } else {
+      state.speculate_move(a, b);
+    }
+  };
+  speculate();
+  const int density = state.speculative_density();
+  const long long span = state.speculative_total_span();
+  EXPECT_EQ(density, oracle.density());
+  EXPECT_EQ(span, oracle.total_span());
+  state.discard_speculation();
+  ASSERT_TRUE(state.verify());
+  speculate();
+  EXPECT_EQ(state.speculative_density(), density);
+  EXPECT_EQ(state.speculative_total_span(), span);
+  state.commit_speculation();
+  ASSERT_TRUE(state.verify());
+  EXPECT_EQ(state.arrangement().order(), oracle.arrangement().order());
+  EXPECT_EQ(state.density(), oracle.density());
+  for (std::size_t boundary = 0; boundary + 1 < state.arrangement().size();
+       ++boundary) {
+    EXPECT_EQ(state.cut_at(boundary), oracle.cut_at(boundary));
+  }
+}
+
+// The window's edges: positions 0 and n-1 (a net's hi endpoint is then the
+// last difference-array index, one past the last boundary), adjacent
+// positions (a one-boundary window), and a net whose only pins sit at both
+// ends of the arrangement.
+void check_window_edges(DensityState& state) {
+  const std::size_t last = state.arrangement().size() - 1;
+  for (const bool swap : {true, false}) {
+    check_window_case(state, swap, 0, last);
+    check_window_case(state, swap, last, 0);
+    check_window_case(state, swap, 0, 1);
+    check_window_case(state, swap, 1, 0);
+    check_window_case(state, swap, last - 1, last);
+    check_window_case(state, swap, last, last - 1);
+    check_window_case(state, swap, last / 2, last / 2 + 1);
+    check_window_case(state, swap, last / 2 + 1, last / 2);
+  }
+}
+
+TEST(DensitySpeculationTest, WindowEdgesOnHandBuiltNetlist) {
+  constexpr std::size_t n = 8;
+  Netlist::Builder builder{n};
+  builder.add_net({0, 7});  // only pins at both ends
+  builder.add_net({0, 1});
+  builder.add_net({6, 7});
+  builder.add_net({3, 4, 5});
+  builder.add_net({0, 3, 7});
+  builder.add_net({2, 5});
+  const Netlist nl = builder.build();
+  // Each case pair undoes itself, so every case starts from the identity:
+  // the end-to-end net keeps its pins at positions 0 and n-1.
+  DensityState state{nl, Arrangement{n}};
+  check_window_edges(state);
+  EXPECT_EQ(state.arrangement().order(), Arrangement{n}.order());
+}
+
+TEST(DensitySpeculationTest, WindowEdgesAt60) {
+  util::Rng rng{101};
+  const Netlist nl = random_gola(GolaParams{60, 600}, rng);
+  DensityState state{nl, Arrangement::random(60, rng)};
+  check_window_edges(state);
 }
 
 // Clone regression: vector copies shrink capacity to size and the per-move
