@@ -209,7 +209,7 @@ struct RealFlag {
 };
 
 /// Parses the flags of a bench that takes its own numeric flags instead of
-/// the driver set (ladder, parallel_speedup), plus the shared --run-dir
+/// the driver set (the ladder), plus the shared --run-dir
 /// DIR, which is created up front (status 2 if it cannot be) and receives
 /// the bench's BENCH_*.json.  Integers must be >= 1, reals finite and > 0.
 /// Exits with status 2 and a usage line on an unknown flag, a positional
@@ -262,7 +262,7 @@ void maybe_write_csv(const std::string& experiment, const util::Table& table);
 
 /// Writes an already-serialized JSON document to DIR/<name>.json with
 /// --run-dir DIR, else to <name>.json in the current directory.
-/// Machine-readable bench output (BENCH_parallel.json etc.) flows through
+/// Machine-readable bench output (BENCH_ladder.json) flows through
 /// here so later changes can diff perf trajectories.  Exits with status 1,
 /// naming the path, when the file cannot be written.
 void write_json_report(const std::string& name, const std::string& payload);

@@ -1,49 +1,59 @@
 // The Figure-1 ladder: what one perturb-and-test step costs, layer by layer.
 //
 // The paper's equal-budget comparison counts ticks, so the price of a tick
-// is measured here, in one place, on one workload: a GOLA 15/150 netlist
-// (derive_seed(kSeed, 15)) from a fixed random start
-// (derive_seed(kSeed + 3, 15)).  Rows, from the bare step up:
+// is measured here, in one place.  Every row builds its problem from a
+// factory, so one timing loop prices every substrate.  The GOLA netlists
+// are derive_seed(kSeed, cells) with a fixed random start
+// (derive_seed(kSeed + 3, cells)).  Rows, from the bare step up:
 //
 //  1. a fixed-acceptance Metropolis kernel: downhill moves are always
 //     taken, the others with probability p_up in {0, 0.05, 0.5, 1}, so the
 //     step is priced as a function of acceptance rate — on 15/150, 60/600
 //     and 240/2400 netlists (240 cells is the size scaling_study and
-//     perfbench's multistart_240 spend their time on).  The kernel streams
-//     its acceptance draws from Rng::next_block in 256-word blocks; pair
-//     draws stay inside propose();
-//  2. the hand-stripped Figure 1 loop (bench/figure1_stripped.hpp):
-//     six-temperature annealing, move rng seeded kSeed + 9;
+//     perfbench's multistart_240 spend their time on).  At p_up = 0 it also
+//     prices 240/2400 under single exchange (insert vs swap), and the first
+//     instance and start of partition_compare (40 nodes / 120 edges) and of
+//     tsp_compare (100 cities).  The kernel streams its acceptance draws
+//     from Rng::next_block in 256-word blocks; pair draws stay inside
+//     propose();
+//  2. the hand-stripped Figure 1 loop (bench/figure1_stripped.hpp) on
+//     15/150: six-temperature annealing, move rng seeded kSeed + 9;
 //  3. core::run_figure1 with the recorder off;
 //  4. metrics;
 //  5. metrics + profiler;
 //  6. ring trace 64k + metrics;
-//  7. JSONL trace 1/64 + metrics.
+//  7. JSONL trace 1/64 + metrics;
+//  8. Figure 1 multistart on 60/600 (100 restarts), sequential
+//     (core::multistart) and on 4 threads (core::parallel_multistart).
 //
-// Rows 3-7 report their overhead against row 2 as the median over reps of
-// the per-rep time ratio: adjacent runs share machine conditions, so drift
-// cancels out of the ratio, and the median shrugs off one noisy rep of
-// either side.  Rep 0 is an untimed warmup of every row (first-touch
+// Rows 3-7 report their overhead against row 2, and the 4-thread
+// multistart its speedup over the sequential one, as the median over reps
+// of the per-rep time ratio: adjacent runs share machine conditions, so
+// drift cancels out of the ratio, and the median shrugs off one noisy rep
+// of either side.  Rep 0 is an untimed warmup of every row (first-touch
 // allocation, i-cache, frequency ramp); the timed reps then interleave
 // across rows so drift lands on all rows alike.
 //
 // Checks; each failure names itself and makes the run exit 1:
 //  - every rep of a row reproduces its rep 0 (costs, counts, final state);
-//  - every Figure 1 tier's RunResult matches the stripped loop's;
+//  - every Figure 1 tier's RunResult matches the stripped loop's, and the
+//    4-thread multistart's aggregate the sequential one's;
 //  - an untraced 1-thread multistart (the sequential engine) and a traced,
-//    metrics- and profile-collecting 8-thread parallel multistart agree in
-//    restarts, per-restart best costs and the aggregate, and their
-//    deterministic registry JSON, Prometheus text and wall-free profile
-//    exports are byte-identical once the traced run's own trace-event
-//    count is set aside;
+//    metrics- and profile-collecting 8-thread parallel multistart on
+//    15/150 agree in restarts, per-restart best costs and the aggregate,
+//    and their deterministic registry JSON, Prometheus text and wall-free
+//    profile exports are byte-identical once the traced run's own
+//    trace-event count is set aside;
 //  - the off-path overhead (row 3) stays below --gate-pct.
 //
 // Results land in BENCH_ladder.json, gated against the committed baseline
 // by tools/bench_compare.py: accepts, final costs, Figure 1's best cost and
 // the trace-event count are exact fields that pin the trajectories;
-// seconds, proposals/s and overheads ride its perf band.  Derived
-// hardware-counter fields (IPC, cache-miss rate, cycles per proposal) are
-// written only when the counters they are computed from opened.
+// seconds, proposals/s, overheads and the speedup ride its perf band.
+// Derived hardware-counter fields (IPC, cache-miss rate, cycles per
+// proposal) are written only when the counters they are computed from
+// opened, and never for the 4-thread row, whose workers the calling
+// thread's counters do not see.
 //
 // Flags: --budget T    ticks per timed run (default 400'000)
 //        --reps N      timed repetitions per row (default 5)
@@ -59,6 +69,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -78,6 +89,11 @@
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "partition/partition.hpp"
+#include "partition/problem.hpp"
+#include "tsp/instance.hpp"
+#include "tsp/problem.hpp"
+#include "tsp/tour.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -124,19 +140,33 @@ core::RunResult run_kernel(core::Problem& problem, std::uint64_t proposals,
   return out;
 }
 
-linarr::LinArrProblem make_problem(const netlist::Netlist& nl) {
-  util::Rng start_rng{util::derive_seed(bench::kSeed + 3, nl.num_cells())};
-  return linarr::LinArrProblem{
-      nl, linarr::Arrangement::random(nl.num_cells(), start_rng)};
+/// Builds a row's problem in its start state, outside the timed region.
+using Factory = std::function<std::unique_ptr<core::Problem>()>;
+
+/// `nl` from its fixed random start.
+Factory gola_start(const netlist::Netlist& nl,
+                   linarr::MoveKind kind =
+                       linarr::MoveKind::kPairwiseInterchange) {
+  return [&nl, kind] {
+    util::Rng start_rng{util::derive_seed(bench::kSeed + 3, nl.num_cells())};
+    return std::make_unique<linarr::LinArrProblem>(
+        nl, linarr::Arrangement::random(nl.num_cells(), start_rng), kind);
+  };
 }
 
-/// One ladder row.  `run` drives one fresh start of `nl` and returns its
-/// result, leaving the problem in its final state.
+constexpr std::size_t kNoBase = ~std::size_t{0};
+
+/// One ladder row.  `run` drives one fresh problem from `make` and returns
+/// its result, leaving the problem in its final state.
 struct Row {
   std::string name;
-  const netlist::Netlist* nl = nullptr;
-  bool figure1 = false;  ///< rows 2-7: checked and priced vs the stripped loop
+  Factory make;
   std::function<core::RunResult(core::Problem&)> run;
+  /// The row whose result this one must reproduce and is priced against
+  /// (rows 2-7: the stripped loop; the 4-thread multistart: the sequential
+  /// one), reported as overhead_pct, or as speedup when `speedup` is set.
+  std::size_t base = kNoBase;
+  bool speedup = false;
 
   // Filled by the timing loop.
   core::RunResult result{};       ///< rep 0's, which every rep must reproduce
@@ -144,6 +174,21 @@ struct Row {
   std::vector<double> seconds{};  ///< one per timed rep
   obs::PerfCounts perf{};         ///< counter deltas of the fastest rep
 };
+
+/// Kernel row `kernel <label> p_up=<p_uphill>`: move and acceptance streams
+/// split off by `stream`.
+Row kernel_row(const std::string& label, double p_uphill, std::uint64_t stream,
+               Factory make, std::uint64_t budget) {
+  char name[80];
+  std::snprintf(name, sizeof name, "kernel %s p_up=%.2f", label.c_str(),
+                p_uphill);
+  auto run = [p_uphill, stream, budget](core::Problem& p) {
+    util::Rng move_rng = util::Rng::split(bench::kSeed + 9, stream);
+    util::Rng accept_rng = util::Rng::split(bench::kSeed + 11, stream);
+    return run_kernel(p, budget, p_uphill, move_rng, accept_rng);
+  };
+  return {name, std::move(make), run};
+}
 
 /// Counter deltas around one timed region; zeros when unavailable.
 class ScopedPerfSample {
@@ -193,15 +238,15 @@ std::string perf_fields(const obs::PerfCounts& counts, std::uint64_t proposals,
   return out;
 }
 
-/// Median over reps of the per-rep time ratio against `base`, in percent.
-double overhead_pct(const Row& row, const Row& base) {
+/// Median over reps of the per-rep time ratio `num` / `den`.
+double median_ratio(const Row& num, const Row& den) {
   std::vector<double> ratios;
-  for (std::size_t rep = 0; rep < row.seconds.size(); ++rep) {
-    if (base.seconds[rep] > 0.0) {
-      ratios.push_back(row.seconds[rep] / base.seconds[rep]);
+  for (std::size_t rep = 0; rep < num.seconds.size(); ++rep) {
+    if (den.seconds[rep] > 0.0) {
+      ratios.push_back(num.seconds[rep] / den.seconds[rep]);
     }
   }
-  return 100.0 * (util::median(ratios) - 1.0);
+  return util::median(ratios);
 }
 
 /// The deterministic exports compared across thread counts.
@@ -238,8 +283,9 @@ int main(int argc, char** argv) {
   std::snprintf(gate_buf, sizeof gate_buf, "%.2f", gate_pct);
   bench::print_header(
       "Figure-1 ladder — the cost of one step, kernel to recorder tiers",
-      "GOLA 15/150 (kernel also 60/600, 240/2400); warmup + interleaved "
-      "reps; overhead = paired median vs the stripped loop; off-path gate <" +
+      "GOLA 15/150 (kernel also 60/600, 240/2400, partition, TSP; "
+      "multistart 60/600); warmup + interleaved reps; overhead and speedup "
+      "= paired medians; off-path gate <" +
           std::string{gate_buf} + "%");
 
   util::Rng gen_small{util::derive_seed(bench::kSeed, 15)};
@@ -265,22 +311,47 @@ int main(int argc, char** argv) {
   const obs::Recorder jsonl_sampled{&jsonl, /*collect_metrics=*/true,
                                     /*trace_sample=*/64};
 
+  // The first instance and start of partition_compare and of
+  // tsp_compare (its tuned annealing's tour).
+  util::Rng gen_graph{util::derive_seed(bench::kSeed + 50, 1000 * 40)};
+  const auto graph = netlist::random_graph(40, 120, gen_graph);
+  util::Rng graph_start_rng = gen_graph.split();
+  const auto sides =
+      partition::PartitionState::random(graph, graph_start_rng).sides();
+  util::Rng gen_cities{util::derive_seed(bench::kSeed + 40, 100 * 100)};
+  const auto cities = tsp::TspInstance::random_euclidean(100, gen_cities);
+  util::Rng tour_rng = gen_cities.split();
+  const tsp::Order tour = tsp::random_order(cities.size(), tour_rng);
+
   std::vector<Row> rows;
   for (const netlist::Netlist* nl : {&small, &large, &xlarge}) {
+    const std::string size =
+        std::to_string(nl->num_cells()) + "/" + std::to_string(nl->num_nets());
     for (const double p_uphill : {0.0, 0.05, 0.5, 1.0}) {
-      char name[64];
-      std::snprintf(name, sizeof name, "kernel %zu/%zu p_up=%.2f",
-                    nl->num_cells(), nl->num_nets(), p_uphill);
-      auto run = [nl, p_uphill, budget](core::Problem& p) {
-        util::Rng move_rng =
-            util::Rng::split(bench::kSeed + 9, nl->num_cells());
-        util::Rng accept_rng =
-            util::Rng::split(bench::kSeed + 11, nl->num_cells());
-        return run_kernel(p, budget, p_uphill, move_rng, accept_rng);
-      };
-      rows.push_back({name, nl, /*figure1=*/false, run});
+      rows.push_back(kernel_row(size, p_uphill, nl->num_cells(),
+                                gola_start(*nl), budget));
     }
   }
+  // A single exchange shifts every cell in its window, so its step costs
+  // some 20 swaps here: a sixteenth of the budget keeps the row's time near
+  // its neighbours'.
+  rows.push_back(
+      kernel_row("240/2400 single-exchange", 0.0, xlarge.num_cells(),
+                 gola_start(xlarge, linarr::MoveKind::kSingleExchange),
+                 std::max<std::uint64_t>(1, budget / 16)));
+  rows.push_back(kernel_row(
+      "partition 40/120", 0.0, graph.num_cells(),
+      [&graph, &sides] {
+        return std::make_unique<partition::PartitionProblem>(
+            partition::PartitionState{graph, sides});
+      },
+      budget));
+  rows.push_back(kernel_row(
+      "tsp 100", 0.0, cities.size(),
+      [&cities, &tour] {
+        return std::make_unique<tsp::TspProblem>(cities, tour);
+      },
+      budget));
   // Rows 2-7 share the budget and the move stream; only the loop and the
   // recorder differ.
   struct Tier {
@@ -306,7 +377,29 @@ int main(int argc, char** argv) {
       return tier.stripped ? bench::run_figure1_stripped(p, *g, options, rng)
                            : core::run_figure1(p, *g, options, rng);
     };
-    rows.push_back({tier.name, &small, /*figure1=*/true, run});
+    rows.push_back({tier.name, gola_start(small), run, stripped});
+  }
+  // Row 8: the same multistart on one thread and on four.
+  core::Runner runner = [&g](core::Problem& p, std::uint64_t slice,
+                             util::Rng& r, const obs::Recorder& recorder) {
+    core::Figure1Options options;
+    options.budget = slice;
+    options.recorder = &recorder;
+    return core::run_figure1(p, *g, options, r);
+  };
+  core::MultistartOptions ms;
+  ms.total_budget = budget;
+  ms.budget_per_start = std::max<std::uint64_t>(1, budget / 100);
+  const std::size_t sequential = rows.size();
+  for (const unsigned threads : {1U, 4U}) {
+    auto run = [&runner, ms, threads](core::Problem& p) {
+      util::Rng rng{bench::kSeed + 4};
+      if (threads == 1) return core::multistart(p, runner, ms, rng).aggregate;
+      return core::parallel_multistart(p, runner, {ms, threads}, rng).aggregate;
+    };
+    rows.push_back({"multistart 60/600 t" + std::to_string(threads),
+                    gola_start(large), run,
+                    threads == 1 ? kNoBase : sequential, threads > 1});
   }
 
   // Hardware counters for the timed regions, where the platform allows
@@ -321,13 +414,13 @@ int main(int argc, char** argv) {
   bool trajectory_identical = true;
   for (std::size_t rep = 0; rep <= reps; ++rep) {
     for (Row& row : rows) {
-      auto problem = make_problem(*row.nl);
+      const auto problem = row.make();
       const ScopedPerfSample sample{perf};
       util::Stopwatch watch;
-      core::RunResult result = row.run(problem);
+      core::RunResult result = row.run(*problem);
       const double seconds = watch.seconds();
       const obs::PerfCounts counts = sample.finish();
-      core::Snapshot state = problem.snapshot();
+      core::Snapshot state = problem->snapshot();
       if (rep == 0) {  // the untimed warmup is the reference
         row.result = std::move(result);
         row.final_state = std::move(state);
@@ -349,37 +442,30 @@ int main(int argc, char** argv) {
     }
   }
   for (const Row& row : rows) {
-    if (row.figure1 &&
-        !bench::stripped_results_match(rows[stripped].result, row.result)) {
+    if (row.base != kNoBase &&
+        !bench::stripped_results_match(rows[row.base].result, row.result)) {
       obs::log(obs::LogLevel::kError,
-               "FATAL: '%s' changed the optimization results of the stripped "
-               "loop (determinism violation)",
-               row.name.c_str());
+               "FATAL: '%s' changed the optimization results of '%s' "
+               "(determinism violation)",
+               row.name.c_str(), rows[row.base].name.c_str());
       trajectory_identical = false;
     }
   }
   // Row 3, the recorder-off loop, directly follows the stripped one.
   const double off_overhead =
-      overhead_pct(rows[stripped + 1], rows[stripped]);
+      100.0 * (median_ratio(rows[stripped + 1], rows[stripped]) - 1.0);
   const bool gate_ok = off_overhead < gate_pct;
 
   // Untraced 1-thread sequential multistart vs traced, metrics- and
   // profile-collecting 8-thread parallel multistart.
-  core::Runner runner = [&g](core::Problem& p, std::uint64_t slice,
-                             util::Rng& r, const obs::Recorder& recorder) {
-    core::Figure1Options options;
-    options.budget = slice;
-    options.recorder = &recorder;
-    return core::run_figure1(p, *g, options, r);
-  };
   const std::uint64_t ms_budget = std::min<std::uint64_t>(budget, 200'000);
   core::MultistartOptions seq_options;
   seq_options.total_budget = ms_budget;
   seq_options.budget_per_start = std::max<std::uint64_t>(1, ms_budget / 50);
   seq_options.recorder = &profiled;
-  auto seq_problem = make_problem(small);
+  const auto seq_problem = gola_start(small)();
   util::Rng seq_rng{bench::kSeed + 21};
-  const auto t1 = core::multistart(seq_problem, runner, seq_options, seq_rng);
+  const auto t1 = core::multistart(*seq_problem, runner, seq_options, seq_rng);
 
   obs::VectorSink events;
   const obs::Recorder traced{&events, /*collect_metrics=*/true,
@@ -389,10 +475,10 @@ int main(int argc, char** argv) {
   par_options.multistart = seq_options;
   par_options.multistart.recorder = &traced;
   par_options.num_threads = 8;
-  auto par_problem = make_problem(small);
+  const auto par_problem = gola_start(small)();
   util::Rng par_rng{bench::kSeed + 21};
   const auto t8 =
-      core::parallel_multistart(par_problem, runner, par_options, par_rng);
+      core::parallel_multistart(*par_problem, runner, par_options, par_rng);
 
   const bool parallel_identical =
       t1.restarts == t8.restarts &&
@@ -422,6 +508,7 @@ int main(int argc, char** argv) {
   table.add_column("best s");
   table.add_column("prop/s");
   table.add_column("overhead %");
+  table.add_column("speedup");
   std::string rows_json;
   for (const Row& row : rows) {
     const double best =
@@ -445,15 +532,27 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(row.result.accepts),
                   row.result.final_cost, best, per_sec);
     rows_json += buf;
-    if (row.figure1) {
-      const double overhead = overhead_pct(row, rows[stripped]);
-      table.cell(overhead, 2);
-      std::snprintf(buf, sizeof buf, ", \"overhead_pct\": %.3f", overhead);
+    if (row.base == kNoBase) {
+      table.cell("");
+      table.cell("");
+    } else if (row.speedup) {
+      const double speedup = median_ratio(rows[row.base], row);
+      table.cell("");
+      table.cell(speedup, 2);
+      std::snprintf(buf, sizeof buf, ", \"speedup\": %.3f", speedup);
       rows_json += buf;
     } else {
+      const double overhead =
+          100.0 * (median_ratio(row, rows[row.base]) - 1.0);
+      table.cell(overhead, 2);
       table.cell("");
+      std::snprintf(buf, sizeof buf, ", \"overhead_pct\": %.3f", overhead);
+      rows_json += buf;
     }
-    rows_json += perf_fields(row.perf, row.result.proposals, active) + "}";
+    if (!row.speedup) {
+      rows_json += perf_fields(row.perf, row.result.proposals, active);
+    }
+    rows_json += "}";
   }
   table.print();
 
@@ -494,7 +593,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nOff-path overhead: %.2f%% (gate: <%.2f%%) — %s.\n"
-      "Reps and recorder tiers vs the stripped loop: %s.\n"
+      "Reps, recorder tiers vs the stripped loop, t4 vs t1 multistart: %s.\n"
       "Traced 8-thread vs untraced 1-thread multistart: results %s, "
       "exports %s (%zu events captured).\n",
       off_overhead, gate_pct, gate_ok ? "PASS" : "FAIL",

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff fresh BENCH_*.json against committed baselines.
 
-The bench drivers write machine-readable reports (BENCH_ladder.json,
-BENCH_parallel.json) via bench::write_json_report.  The repo commits one
-baseline per report at the repository root; CI reruns the benches and
-feeds the fresh files through this gate::
+The ladder bench writes a machine-readable report (BENCH_ladder.json)
+via bench::write_json_report.  The repo commits one baseline per report
+at the repository root; CI reruns the bench and feeds the fresh file
+through this gate::
 
     python3 tools/bench_compare.py --baseline-dir . fresh/BENCH_ladder.json
 
